@@ -9,10 +9,13 @@
 //     directory that actually exists;
 //  3. no stale operational claims: every command-line flag a doc's
 //     flag table documents is declared by some command under cmd/,
-//     and every provd_* metric name the docs mention is emitted
-//     somewhere in the source tree. Docs drift worst exactly where
-//     operators copy from — flag tables and metric names — so those
-//     claims are checked against the code, not trusted.
+//     and the metric names are held to the code both ways — every
+//     provd_* name a doc mentions is printed by provd's one /metrics
+//     emitter (internal/provd/metrics.go), and every name the emitter
+//     prints has a row in the metrics tables of docs/operations.md.
+//     Docs drift worst exactly where operators copy from — flag tables
+//     and metric names — so those claims are checked against the code,
+//     not trusted.
 //
 // It prints one line per violation and exits non-zero if there are any.
 //
@@ -106,18 +109,34 @@ var (
 	// doc; a trailing `*` (a family glob like provd_auth_*) simply ends
 	// the token, leaving the family prefix to substring-match.
 	metricClaim = regexp.MustCompile(`provd_[a-z0-9_]+`)
+	// metricEmit matches a metric line in the emitter: "provd_name %d\n".
+	metricEmit = regexp.MustCompile(`"(provd_[a-z0-9_]+) %`)
+	// tableRow matches one markdown table row.
+	tableRow = regexp.MustCompile(`(?m)^\|.*$`)
+)
+
+// The single place provd prints metrics from, and the single place
+// operators look them up.
+const (
+	metricsEmitter = "internal/provd/metrics.go"
+	metricsDoc     = "docs/operations.md"
 )
 
 // checkStaleClaims verifies the docs' operational claims against the
 // source tree: documented flags must be declared by a command,
-// documented metric names must appear in the code that emits them.
+// documented metric names must be printed by the emitter, and emitted
+// metric names must be documented.
 func checkStaleClaims(root string) []string {
 	var out []string
 
 	// What the code provides: declared flags (any cmd/ command) and the
-	// whole source text (metric names are fmt strings in it).
+	// emitter's text (metric names are fmt strings in it).
 	declaredFlags := map[string]bool{}
-	var source strings.Builder
+	emitter, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(metricsEmitter)))
+	if err != nil {
+		return []string{fmt.Sprintf("%s: %v", metricsEmitter, err)}
+	}
+	code := string(emitter)
 	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -139,10 +158,8 @@ func checkStaleClaims(root string) []string {
 		for _, m := range flagDecl.FindAllStringSubmatch(string(data), -1) {
 			declaredFlags[m[1]] = true
 		}
-		source.Write(data)
 		return nil
 	})
-	code := source.String()
 
 	// What the docs claim.
 	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -176,11 +193,24 @@ func checkStaleClaims(root string) []string {
 			}
 			seen[name] = true
 			if !strings.Contains(code, name) {
-				out = append(out, fmt.Sprintf("%s: documents metric %s, which the code never emits", path, name))
+				out = append(out, fmt.Sprintf("%s: documents metric %s, which %s never emits", path, name, metricsEmitter))
 			}
 		}
 		return nil
 	})
+
+	// And the other way: what the emitter prints, the runbook's metrics
+	// tables must document.
+	doc, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(metricsDoc)))
+	if err != nil {
+		return append(out, fmt.Sprintf("%s: %v", metricsDoc, err))
+	}
+	tables := strings.Join(tableRow.FindAllString(string(doc), -1), "\n")
+	for _, m := range metricEmit.FindAllStringSubmatch(code, -1) {
+		if !strings.Contains(tables, "`"+m[1]+"`") {
+			out = append(out, fmt.Sprintf("%s: emits metric %s, which no metrics table in %s documents", metricsEmitter, m[1], metricsDoc))
+		}
+	}
 	return out
 }
 

@@ -94,90 +94,45 @@ import (
 	"repro/internal/trust"
 )
 
-// coordinatorConfig carries the already-resolved flag state into
-// coordinator mode.
-type coordinatorConfig struct {
-	addr       string
-	ingestAddr string
-	grace      time.Duration
-	idlePark   time.Duration
-	serverTLS  *tls.Config
-	clientTLS  *tls.Config
-	guard      *auth.Guard
-	token      string
-}
-
-// runCoordinator is coordinator mode's whole lifecycle: no store, a
-// routing client + fleet read plane over the partition leaders, the
-// coordinator HTTP surface, and the binary listener serving merged
-// queries, follows and the cluster map (appends and snapshots are
-// refused toward the leaders). Never returns.
-func runCoordinator(m *cluster.Map, cfg coordinatorConfig) {
-	rc := cluster.NewClient(m, cluster.ClientOptions{TLS: cfg.clientTLS, Token: cfg.token})
-	fleet := cluster.NewFleet(rc)
-	// The coordinator's own map view (selfID "": owns nothing) lets the
-	// binary listener answer map requests, so producers can bootstrap
-	// from a coordinator address alone.
-	node, err := cluster.NewNode(m, "")
-	if err != nil {
-		log.Fatalf("provd: %v", err)
-	}
-	httpc := &http.Client{Timeout: 30 * time.Second}
-	if cfg.clientTLS != nil {
-		httpc.Transport = &http.Transport{TLSClientConfig: cfg.clientTLS}
-	}
-	app := provd.NewCoordinator(fleet, provd.CoordinatorOptions{Client: httpc, Token: cfg.token})
-	if cfg.guard != nil {
-		app.SetAuth(cfg.guard)
-	}
-	log.Printf("provd: coordinator over %d leaders at epoch %d", len(m.Leaders), m.Epoch)
-
-	var ing *ingest.Server
-	if cfg.ingestAddr != "" {
-		ing = ingest.NewServer(nil, ingest.Options{Engine: fleet, Cluster: node, TLS: cfg.serverTLS, Auth: cfg.guard, IdlePark: cfg.idlePark})
-		bound, err := ing.Listen(cfg.ingestAddr)
-		if err != nil {
-			log.Fatalf("provd: binary listener: %v", err)
-		}
-		app.AttachIngest(ing)
-		log.Printf("provd: binary read plane on %s", bound)
-	}
-	srv := &http.Server{Addr: cfg.addr, Handler: app, TLSConfig: cfg.serverTLS}
+// serve runs the HTTP surface until a signal or a listener failure —
+// the one lifecycle every mode shares. On the way out it stops the HTTP
+// server (bounded by grace) and then runs cleanup, last started first:
+// the binary listener drains before anything it commits into closes
+// (every batch a client got onto the wire is committed and acked), and
+// replication stops before the store does (the store must not close
+// under a mid-flight apply, and the durable high-water is the restart's
+// resume point).
+func serve(addr string, app http.Handler, serverTLS *tls.Config, grace time.Duration, cleanup func()) {
+	srv := &http.Server{Addr: addr, Handler: app, TLSConfig: serverTLS}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() {
-		if cfg.serverTLS != nil {
-			log.Printf("provd: coordinator serving TLS on %s", cfg.addr)
-			if err := srv.ListenAndServeTLS("", ""); !errors.Is(err, http.ErrServerClosed) {
-				errc <- err
-			}
-			return
+		var err error
+		if serverTLS != nil {
+			log.Printf("provd: serving TLS on %s", addr)
+			err = srv.ListenAndServeTLS("", "")
+		} else {
+			log.Printf("provd: serving on %s", addr)
+			err = srv.ListenAndServe()
 		}
-		log.Printf("provd: coordinator serving on %s", cfg.addr)
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		if !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
 	}()
 	select {
 	case err := <-errc:
-		if ing != nil {
-			ing.Close()
-		}
-		rc.Close()
+		cleanup()
 		log.Fatalf("provd: %v", err)
 	case <-ctx.Done():
 	}
-	log.Print("provd: coordinator shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.grace)
+	log.Print("provd: shutting down")
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("provd: shutdown: %v", err)
 	}
-	if ing != nil {
-		ing.Close()
-	}
-	rc.Close()
+	cleanup()
 	fmt.Println("provd: bye")
 }
 
@@ -268,130 +223,111 @@ func main() {
 	// batches for principals it does not own and serves the map over the
 	// wire. With -cluster-map alone it is a storeless coordinator: the
 	// merged read plane and routed write plane over the whole fleet.
-	var node *cluster.Node
+	var (
+		m    *cluster.Map
+		node *cluster.Node
+	)
 	if *clusterSelf != "" && *clusterMap == "" {
 		log.Fatal("provd: -cluster-self needs -cluster-map")
 	}
 	if *clusterMap != "" {
-		m, err := cluster.LoadFile(*clusterMap)
-		if err != nil {
+		var err error
+		if m, err = cluster.LoadFile(*clusterMap); err != nil {
 			log.Fatalf("provd: loading -cluster-map: %v", err)
 		}
-		if *clusterSelf == "" {
-			runCoordinator(m, coordinatorConfig{
-				addr: *addr, ingestAddr: *ingestAddr, grace: *grace, idlePark: *idlePark,
-				serverTLS: serverTLS, clientTLS: clientTLS, guard: guard, token: *clusterToken,
-			})
-			return
-		}
-		if *replicaOf != "" {
+		if *clusterSelf != "" && *replicaOf != "" {
 			log.Fatal("provd: a partition leader cannot also be a replica; run replicas per partition without -cluster-self")
 		}
-		node, err = cluster.NewNode(m, *clusterSelf)
-		if err != nil {
+		// A coordinator's own view (self "": owns nothing) lets its binary
+		// listener answer map requests, so producers can bootstrap from a
+		// coordinator address alone.
+		if node, err = cluster.NewNode(m, *clusterSelf); err != nil {
 			log.Fatalf("provd: %v", err)
 		}
-		log.Printf("provd: partition leader %q at epoch %d (%d leaders)", *clusterSelf, m.Epoch, len(m.Leaders))
 	}
 
-	st, err := store.Open(*dir, store.Options{
-		Stripes: *stripes, SegmentBytes: *segBytes, Fsync: *fsync, MaxShards: *maxShards,
-		SessionWindow: *dedupWindow, MaxSessions: *maxSessions,
-	})
-	if err != nil {
-		log.Fatalf("provd: opening store: %v", err)
+	// Whatever a mode starts registers its stop here; unwind runs them
+	// last started first, on a failed start and on shutdown alike.
+	var cleanup []func()
+	unwind := func() {
+		for i := len(cleanup) - 1; i >= 0; i-- {
+			cleanup[i]()
+		}
 	}
-	stats := st.Stats()
-	log.Printf("provd: store %s recovered: %d records, %d shards, next seq %d",
-		*dir, stats.Records, stats.Principals, stats.NextSeq)
-
-	app := provd.NewServer(st, policy)
+	var (
+		app *provd.Server
+		st  *store.Store // stays nil on a coordinator
+	)
+	iopts := ingest.Options{TLS: serverTLS, Auth: guard, IdlePark: *idlePark}
+	if node != nil {
+		iopts.Cluster = node
+	}
+	if node != nil && *clusterSelf == "" {
+		// Coordinator: no store, a routing client + fleet read plane over
+		// the partition leaders behind the same HTTP surface, and a binary
+		// listener serving merged queries, follows and the cluster map
+		// (appends and snapshots are refused toward the leaders).
+		rc := cluster.NewClient(m, cluster.ClientOptions{TLS: clientTLS, Token: *clusterToken})
+		cleanup = append(cleanup, func() { rc.Close() })
+		fleet := cluster.NewFleet(rc)
+		httpc := &http.Client{Timeout: 30 * time.Second}
+		if clientTLS != nil {
+			httpc.Transport = &http.Transport{TLSClientConfig: clientTLS}
+		}
+		app = provd.NewCoordinator(fleet, provd.CoordinatorOptions{Client: httpc, Token: *clusterToken})
+		iopts.Engine = fleet
+		log.Printf("provd: coordinator over %d leaders at epoch %d", len(m.Leaders), m.Epoch)
+	} else {
+		var err error
+		st, err = store.Open(*dir, store.Options{
+			Stripes: *stripes, SegmentBytes: *segBytes, Fsync: *fsync, MaxShards: *maxShards,
+			SessionWindow: *dedupWindow, MaxSessions: *maxSessions,
+		})
+		if err != nil {
+			log.Fatalf("provd: opening store: %v", err)
+		}
+		cleanup = append(cleanup, func() {
+			if err := st.Close(); err != nil {
+				log.Printf("provd: closing store: %v", err)
+			}
+		})
+		stats := st.Stats()
+		log.Printf("provd: store %s recovered: %d records, %d shards, next seq %d",
+			*dir, stats.Records, stats.Principals, stats.NextSeq)
+		app = provd.NewServer(st, policy)
+		// Share the HTTP app's query engine: both read surfaces apply
+		// one policy and accumulate one set of counters.
+		iopts.Engine = app.Engine()
+		if node != nil {
+			app.SetCluster(node)
+			log.Printf("provd: partition leader %q at epoch %d (%d leaders)", *clusterSelf, m.Epoch, len(m.Leaders))
+		}
+		if *replicaOf != "" {
+			// In replica mode the listener still serves queries, follows
+			// and snapshots — a replica can seed further replicas — but
+			// refuses appends.
+			rep := replica.New(st, *replicaOf, replica.Options{Logf: log.Printf, TLS: clientTLS, Token: *replicaToken})
+			rep.Start()
+			cleanup = append(cleanup, rep.Stop)
+			app.SetReplica(rep, *leaderHTTP)
+			iopts.ReadOnly, iopts.LeaderAddr = true, *replicaOf
+			log.Printf("provd: replica of %s (applied seq %d)", *replicaOf, st.NextSeq())
+		}
+	}
 	if guard != nil {
 		app.SetAuth(guard)
 		log.Printf("provd: enforcing %d identities from %s", guard.Map.Len(), *authMap)
 	}
-	if node != nil {
-		app.SetCluster(node)
-	}
-	var rep *replica.Replicator
-	if *replicaOf != "" {
-		rep = replica.New(st, *replicaOf, replica.Options{Logf: log.Printf, TLS: clientTLS, Token: *replicaToken})
-		rep.Start()
-		app.SetReplica(rep, *leaderHTTP)
-		log.Printf("provd: replica of %s (applied seq %d)", *replicaOf, st.NextSeq())
-	}
-	var ing *ingest.Server
 	if *ingestAddr != "" {
-		// Share the HTTP app's query engine: both read surfaces apply
-		// one policy and accumulate one set of counters. In replica mode
-		// the listener still serves queries, follows and snapshots — a
-		// replica can seed further replicas — but refuses appends.
-		iopts := ingest.Options{Engine: app.Engine(), ReadOnly: rep != nil, LeaderAddr: *replicaOf, TLS: serverTLS, Auth: guard, IdlePark: *idlePark}
-		if node != nil {
-			iopts.Cluster = node
-		}
-		ing = ingest.NewServer(st, iopts)
+		ing := ingest.NewServer(st, iopts)
 		bound, err := ing.Listen(*ingestAddr)
 		if err != nil {
-			if rep != nil {
-				rep.Stop()
-			}
-			st.Close()
-			log.Fatalf("provd: binary ingest listener: %v", err)
+			unwind()
+			log.Fatalf("provd: binary listener: %v", err)
 		}
-		log.Printf("provd: binary ingest on %s", bound)
+		cleanup = append(cleanup, ing.Close)
+		app.AttachIngest(ing)
+		log.Printf("provd: binary listener on %s", bound)
 	}
-	app.AttachIngest(ing)
-	srv := &http.Server{Addr: *addr, Handler: app, TLSConfig: serverTLS}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() {
-		if serverTLS != nil {
-			log.Printf("provd: serving TLS on %s", *addr)
-			if err := srv.ListenAndServeTLS("", ""); !errors.Is(err, http.ErrServerClosed) {
-				errc <- err
-			}
-			return
-		}
-		log.Printf("provd: serving on %s", *addr)
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-
-	select {
-	case err := <-errc:
-		if ing != nil {
-			ing.Close()
-		}
-		if rep != nil {
-			rep.Stop()
-		}
-		st.Close()
-		log.Fatalf("provd: %v", err)
-	case <-ctx.Done():
-	}
-	log.Print("provd: shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("provd: shutdown: %v", err)
-	}
-	if ing != nil {
-		// Drain the binary path before closing the store: every batch a
-		// client managed to get onto the wire is committed and acked.
-		ing.Close()
-	}
-	if rep != nil {
-		// Stop replication after the listeners: the store must not close
-		// under a mid-flight apply, and the durable high-water is the
-		// restart's resume point.
-		rep.Stop()
-	}
-	if err := st.Close(); err != nil {
-		log.Printf("provd: closing store: %v", err)
-	}
-	fmt.Println("provd: bye")
+	serve(*addr, app, serverTLS, *grace, unwind)
 }

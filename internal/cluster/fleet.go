@@ -27,11 +27,13 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/logs"
 	"repro/internal/provclient"
 	"repro/internal/query"
+	"repro/internal/store"
 	"repro/internal/syntax"
 	"repro/internal/wire"
 )
@@ -70,27 +72,40 @@ func toSpec(q query.Query) wire.QuerySpec {
 	}
 }
 
-// leaderErr unwraps a leader's query-end error into the engine error
-// the read surfaces already map (403 for denials, 400 for cursors).
+// leaderSentinels are the errors a leader reports by message that the
+// HTTP surface maps to a status of their own: query-end errors (403 for
+// denials, 400 for cursors and queries) and a store's up-front append
+// rejections (400 invalid action, 429 shard cap).
+var leaderSentinels = []error{
+	query.ErrDenied, query.ErrBadCursor, query.ErrBadQuery,
+	store.ErrInvalidAction, store.ErrShardCap,
+}
+
+// leaderErr recovers the sentinel behind a leader's rejection, so a
+// surface over the fleet maps it exactly as one over a local store
+// does. Anything else — a transport failure above all — passes through.
 func leaderErr(err error) error {
 	var se *provclient.ServerError
-	if !errors.As(err, &se) {
-		return err
-	}
-	switch {
-	case matches(se.Msg, query.ErrDenied):
-		return fmt.Errorf("%w (from partition leader)", query.ErrDenied)
-	case matches(se.Msg, query.ErrBadCursor):
-		return fmt.Errorf("%w (from partition leader)", query.ErrBadCursor)
-	case matches(se.Msg, query.ErrBadQuery):
-		return fmt.Errorf("%w (from partition leader)", query.ErrBadQuery)
+	if errors.As(err, &se) {
+		for _, sentinel := range leaderSentinels {
+			if matches(se.Msg, sentinel) {
+				return fmt.Errorf("%w (from partition leader)", sentinel)
+			}
+		}
 	}
 	return err
 }
 
+// matches reports whether a leader's message opens with the sentinel's
+// text — after the "action N: " position store.AppendBatch puts in front
+// of a batch's validation failure, if there is one.
 func matches(msg string, sentinel error) bool {
-	s := sentinel.Error()
-	return len(msg) >= len(s) && msg[:len(s)] == s
+	if rest, ok := strings.CutPrefix(msg, "action "); ok {
+		if _, after, ok := strings.Cut(rest, ": "); ok {
+			msg = after
+		}
+	}
+	return strings.HasPrefix(msg, sentinel.Error())
 }
 
 // Run serves one page. Single-principal queries route to the owner;
@@ -399,7 +414,7 @@ func (ff *fleetFollower) Close() {
 // --- audit + append routing, for the coordinator's HTTP surface ---
 
 // AuditPrincipals returns the distinct owners of the principals a
-// provenance names — the audit router's input (provd.Coordinator).
+// provenance names — the audit router's input (provd's fleet backend).
 func (f *Fleet) AuditPrincipals(k syntax.Prov) map[string][]string {
 	m := f.c.Map()
 	owners := make(map[string][]string)
@@ -419,19 +434,14 @@ func (f *Fleet) AuditPrincipals(k syntax.Prov) map[string][]string {
 	return owners
 }
 
-// OwnerOf returns the leader entry owning a principal under the current
-// map.
-func (f *Fleet) OwnerOf(principal string) Leader {
-	return f.c.Map().OwnerLeader(principal)
-}
-
 // Leaders snapshots the current leader list.
 func (f *Fleet) Leaders() []Leader {
 	return f.c.Map().Leaders
 }
 
 // AppendActions routes a batch through the fleet's write plane — the
-// coordinator's HTTP append surface proxies here.
+// coordinator's HTTP append surface proxies here. A leader's up-front
+// rejection comes back as the store sentinel it was.
 func (f *Fleet) AppendActions(batch []logs.Action) error {
-	return f.c.AppendActions(batch)
+	return leaderErr(f.c.AppendActions(batch))
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/logs"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -113,7 +114,7 @@ func TestIngestAliasingConcurrent(t *testing.T) {
 		for _, b := range sent[c] {
 			want = append(want, b...)
 		}
-		recs := st.Records(principal)
+		recs := st.ScanShardTail(principal, store.Filter{}, 0, -1)
 		if len(recs) != len(want) {
 			t.Fatalf("conn %d: %d records committed, want %d", c, len(recs), len(want))
 		}
@@ -212,7 +213,7 @@ func TestIngestParkWake(t *testing.T) {
 		t.Fatalf("park cycle not counted: %+v", stats)
 	}
 
-	recs := st.Records("alice")
+	recs := st.ScanShardTail("alice", store.Filter{}, 0, -1)
 	want := append(append([]logs.Action(nil), batch...), batch2...)
 	if len(recs) != len(want) {
 		t.Fatalf("%d records, want %d", len(recs), len(want))
@@ -323,7 +324,7 @@ func TestIngestParkWakeStress(t *testing.T) {
 			time.Sleep(3 * time.Millisecond) // likely parks here
 		}
 	}
-	recs := st.Records("stress")
+	recs := st.ScanShardTail("stress", store.Filter{}, 0, -1)
 	if len(recs) != total {
 		t.Fatalf("%d records, want %d", len(recs), total)
 	}

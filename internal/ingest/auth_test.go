@@ -189,10 +189,10 @@ func TestWireAuthPrincipalBound(t *testing.T) {
 	if m, err = c.readIngest(); err != nil || m.Op != wire.OpIngestAck || m.ID != 4 {
 		t.Fatalf("post-rejection append: %+v %v", m, err)
 	}
-	if n := len(f.st.Records("bob")); n != 0 {
+	if n := len(f.st.ScanShardTail("bob", store.Filter{}, 0, -1)); n != 0 {
 		t.Fatalf("bob has %d records; impersonation committed", n)
 	}
-	if n := len(f.st.Records("alice")); n != 2 {
+	if n := len(f.st.ScanShardTail("alice", store.Filter{}, 0, -1)); n != 2 {
 		t.Fatalf("alice has %d records, want 2", n)
 	}
 	if got := f.guard.AppendRejects.Load(); got != 2 {

@@ -704,20 +704,23 @@ func (s *Server) readLoop(st *connState, reqs chan<- request, cq *connQueries) r
 				continue
 			}
 		}
-		if grant != nil && !grant.CanAppend() {
-			// Same per-op shape as ReadOnly: batches are refused per
-			// request, anything else on the append path (a hello opening
-			// an idempotency session) closes the connection.
-			msg := fmt.Sprintf("identity %q lacks the append role", grant.Name)
+		if rej := Admit(grant, s.opts.Cluster, m.Acts); rej != nil {
+			// Same per-op shape as ReadOnly: a batch is refused per request
+			// — "error means none appended" holds, the connection and its
+			// other requests survive (and the acts buffer stays in st.msg
+			// for the next decode) — while anything else on the append path
+			// (a hello opening an idempotency session, which can only fail
+			// the role check) closes the connection.
+			if rej.Reason != RejectNotOwner {
+				s.opts.Auth.AppendRejects.Add(1)
+			}
 			switch m.Op {
 			case wire.OpIngestBatch, wire.OpIngestBatch2:
 				s.rejects.Add(1)
-				s.opts.Auth.AppendRejects.Add(1)
-				replies.sendError(m.ID, msg)
+				replies.sendError(m.ID, rej.Error())
 				continue
 			default:
-				s.opts.Auth.AppendRejects.Add(1)
-				replies.sendError(0, "closing: "+msg)
+				replies.sendError(0, "closing: "+rej.Error())
 				s.connFails.Add(1)
 				return readClosed
 			}
@@ -761,30 +764,6 @@ func (s *Server) readLoop(st *connState, reqs chan<- request, cq *connQueries) r
 			s.connFails.Add(1)
 			return readClosed
 		}
-		if grant != nil {
-			if bad := outsideGrant(grant, req.acts); bad != "" {
-				// The batch claims a principal the identity does not hold:
-				// refused per request — "error means none appended" holds,
-				// the connection and its other requests survive (and the
-				// acts buffer stays in st.msg for the next decode).
-				s.rejects.Add(1)
-				s.opts.Auth.AppendRejects.Add(1)
-				replies.sendError(req.id, fmt.Sprintf("identity %q may not append as principal %q", grant.Name, bad))
-				continue
-			}
-		}
-		if cv := s.opts.Cluster; cv != nil {
-			if bad := outsideCluster(cv, req.acts); bad != "" {
-				// The batch names a principal another leader owns under
-				// this node's map: refused per request, same none-appended
-				// guarantee as above, so the client may re-route the whole
-				// batch to the owner under a fresh sequence. The "cluster:"
-				// prefix and epoch are the routing client's refresh signal.
-				s.rejects.Add(1)
-				replies.sendError(req.id, fmt.Sprintf("cluster: not owner of principal %q at epoch %d: refetch the map and re-route", bad, cv.Epoch()))
-				continue
-			}
-		}
 		// The committer owns the acts buffer from here until the round
 		// that resolves this request is fully acked; the next decode
 		// draws a fresh buffer from the freelist.
@@ -799,28 +778,6 @@ func (s *Server) readLoop(st *connState, reqs chan<- request, cq *connQueries) r
 			return readClosed
 		}
 	}
-}
-
-// outsideGrant returns the first principal in acts the grant does not
-// cover ("" if the whole batch is within the grant).
-func outsideGrant(grant *auth.Grant, acts []logs.Action) string {
-	for i := range acts {
-		if !grant.AllowsPrincipal(acts[i].Principal) {
-			return acts[i].Principal
-		}
-	}
-	return ""
-}
-
-// outsideCluster returns the first principal in acts this node does not
-// own under its partition map ("" if it owns the whole batch).
-func outsideCluster(cv ClusterView, acts []logs.Action) string {
-	for i := range acts {
-		if !cv.Owns(acts[i].Principal) {
-			return acts[i].Principal
-		}
-	}
-	return ""
 }
 
 // handleClusterMsg answers one cluster-family message from the reader:

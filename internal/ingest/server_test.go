@@ -97,7 +97,7 @@ func TestIngestSingleBatch(t *testing.T) {
 	if m.Op != wire.OpIngestAck || m.ID != 7 || m.Count != 5 {
 		t.Fatalf("ack: %+v", m)
 	}
-	recs := st.Records("alice")
+	recs := st.ScanShardTail("alice", store.Filter{}, 0, -1)
 	if len(recs) != 5 {
 		t.Fatalf("store has %d records, want 5", len(recs))
 	}
@@ -133,7 +133,7 @@ func TestIngestPipelined(t *testing.T) {
 		}
 		lastBase = m.Base
 	}
-	recs := st.Records("p")
+	recs := st.ScanShardTail("p", store.Filter{}, 0, -1)
 	if len(recs) != nReq*perReq {
 		t.Fatalf("store has %d records, want %d", len(recs), nReq*perReq)
 	}
@@ -167,7 +167,7 @@ func TestIngestValidationError(t *testing.T) {
 	if got[2].Op != wire.OpIngestError || !strings.Contains(got[2].Msg, "empty principal") {
 		t.Fatalf("bad request reply: %+v", got[2])
 	}
-	if n := len(st.Records("good")); n != 6 {
+	if n := len(st.ScanShardTail("good", store.Filter{}, 0, -1)); n != 6 {
 		t.Fatalf("store has %d good records, want 6", n)
 	}
 	// The connection survives a rejected request.
@@ -204,7 +204,7 @@ func TestIngestMalformedFrame(t *testing.T) {
 	if m, err := good.readMsg(); err != nil || m.Op != wire.OpIngestAck {
 		t.Fatalf("good connection disturbed: %+v %v", m, err)
 	}
-	if n := len(st.Records("p")); n != 2 {
+	if n := len(st.ScanShardTail("p", store.Filter{}, 0, -1)); n != 2 {
 		t.Fatalf("store has %d records, want 2", n)
 	}
 }
@@ -249,7 +249,7 @@ func TestIngestDrain(t *testing.T) {
 	if acked != nReq {
 		t.Fatalf("drained %d acks, want %d", acked, nReq)
 	}
-	if n := len(st.Records("p")); n != nReq*2 {
+	if n := len(st.ScanShardTail("p", store.Filter{}, 0, -1)); n != nReq*2 {
 		t.Fatalf("store has %d records, want %d", n, nReq*2)
 	}
 }

@@ -28,9 +28,7 @@
 // sequence block instead of appending a duplicate — and because the
 // server's dedup window is durably checkpointed, this holds across
 // provd restarts too. Appends are never silently lost: an error return
-// means the batch's tail did not commit. (Options.Legacy restores the
-// sessionless v1 protocol, whose delivery is at-least-once across
-// reconnects.)
+// means the batch's tail did not commit.
 //
 // The client also speaks the binary read path (query.go): Query runs a
 // typed, cursor-paginated remote query — or a live Follow of the log
@@ -96,9 +94,6 @@ type Options struct {
 	// new appends can never collide with a previous incarnation's
 	// batches; see CommittedFloor for re-sending an unacked journal.
 	Session string
-	// Legacy, when set, speaks the sessionless v1 protocol: no handshake,
-	// no replay protection, at-least-once delivery across reconnects.
-	Legacy bool
 	// TLSConfig, when set, dials TLS instead of cleartext: every
 	// connection — pooled append conns and the dedicated query/snapshot
 	// conns alike, including every redial after a failure — handshakes
@@ -115,9 +110,9 @@ type Options struct {
 	Token string
 	// Journal, when set, write-ahead journals every chunk before its
 	// first wire write and marks it on ack, closing exactly-once across
-	// producer crashes (see OpenJournal and ReplayJournal; ignored in
-	// Legacy mode). A journal that already names a session overrides
-	// Session — the journal and the session resume together.
+	// producer crashes (see OpenJournal and ReplayJournal). A journal
+	// that already names a session overrides Session — the journal and
+	// the session resume together.
 	Journal *Journal
 }
 
@@ -184,9 +179,7 @@ type Client struct {
 // unreachability.
 func New(addr string, opts Options) *Client {
 	opts = opts.withDefaults()
-	if opts.Legacy {
-		opts.Session = "" // v1 has no session; an empty session keys the conns to the v1 frames
-	} else if opts.Session == "" {
+	if opts.Session == "" {
 		var b [16]byte
 		rand.Read(b[:]) // never fails (crypto/rand panics rather than returning short)
 		opts.Session = hex.EncodeToString(b[:])
@@ -197,7 +190,7 @@ func New(addr string, opts Options) *Client {
 		sum := sha256.Sum256([]byte(opts.Session))
 		opts.Session = hex.EncodeToString(sum[:])
 	}
-	if opts.Journal != nil && !opts.Legacy {
+	if opts.Journal != nil {
 		// A journal carrying a session is a crashed incarnation's: resume
 		// it (its pending batches were journaled under that session's
 		// sequences). A fresh journal binds to this client's session.
@@ -214,8 +207,7 @@ func New(addr string, opts Options) *Client {
 	return c
 }
 
-// Session returns the client's idempotency session identifier ("" in
-// legacy mode). A producer that persists its unsent batches can store
+// Session returns the client's idempotency session identifier. A producer that persists its unsent batches can store
 // this beside them and resume the session after a crash with
 // Options.Session; see CommittedFloor for trimming the journal before
 // re-sending.
@@ -235,9 +227,6 @@ func (c *Client) Session() string { return c.opts.Session }
 // the contiguous committed prefix, so in-order producers that need
 // this guarantee should use a single connection.
 func (c *Client) CommittedFloor() (uint64, error) {
-	if c.opts.Legacy {
-		return 0, nil
-	}
 	if c.isClosed() {
 		return 0, ErrClosed
 	}
@@ -254,7 +243,7 @@ func (c *Client) CommittedFloor() (uint64, error) {
 // classified as replays of the previous incarnation's — acked against
 // old data and silently dropped.
 func (c *Client) ensureSeeded() error {
-	if c.opts.Legacy || c.seeded.Load() {
+	if c.seeded.Load() {
 		return nil
 	}
 	c.seedMu.Lock()
@@ -394,26 +383,22 @@ func (c *Client) send(acts []logs.Action) (uint64, error) {
 // first attempt re-acks the original block instead of duplicating it.
 // Server rejections return immediately.
 func (c *Client) sendChunk(acts []logs.Action) (uint64, error) {
-	batchSeq := uint64(0)
-	if !c.opts.Legacy {
-		if err := c.ensureSeeded(); err != nil {
+	if err := c.ensureSeeded(); err != nil {
+		return 0, err
+	}
+	batchSeq := c.seq.Add(1)
+	j := c.opts.Journal
+	if j != nil {
+		// Journal-before-send: the chunk is on disk under its sequence
+		// before any wire write, so a producer crash between here and
+		// the ack leaves a replayable record instead of a silent loss.
+		if err := j.record(batchSeq, acts); err != nil {
 			return 0, err
-		}
-		batchSeq = c.seq.Add(1)
-		if j := c.opts.Journal; j != nil {
-			// Journal-before-send: the chunk is on disk under its sequence
-			// before any wire write, so a producer crash between here and
-			// the ack leaves a replayable record instead of a silent loss.
-			if err := j.record(batchSeq, acts); err != nil {
-				return 0, err
-			}
 		}
 	}
 	base, err := c.deliver(acts, batchSeq)
-	if err == nil && !c.opts.Legacy {
-		if j := c.opts.Journal; j != nil {
-			j.ack(batchSeq)
-		}
+	if err == nil && j != nil {
+		j.ack(batchSeq)
 	}
 	return base, err
 }

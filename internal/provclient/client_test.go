@@ -35,7 +35,7 @@ func TestAppendBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := st.GlobalRecords()
+	recs := st.ScanGlobalTail(0, -1)
 	if len(recs) != len(batch) {
 		t.Fatalf("store has %d records, want %d", len(recs), len(batch))
 	}
@@ -71,7 +71,7 @@ func TestAppendCoalesces(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	recs := st.GlobalRecords()
+	recs := st.ScanGlobalTail(0, -1)
 	if len(recs) != n {
 		t.Fatalf("store has %d records, want %d", len(recs), n)
 	}
@@ -133,7 +133,7 @@ func TestRetryReconnect(t *testing.T) {
 	if _, err := c.AppendBatch([]logs.Action{act("p", 1)}); err != nil {
 		t.Fatalf("append after restart: %v", err)
 	}
-	if n := len(st.Records("p")); n != 2 {
+	if n := len(st.ScanShardTail("p", store.Filter{}, 0, -1)); n != 2 {
 		t.Fatalf("store has %d records, want 2", n)
 	}
 }
@@ -165,7 +165,7 @@ func TestReplayAfterLostAck(t *testing.T) {
 	default:
 		t.Fatal("proxy never dropped an ack; the test exercised nothing")
 	}
-	recs := st.GlobalRecords()
+	recs := st.ScanGlobalTail(0, -1)
 	if len(recs) != len(batch) {
 		t.Fatalf("store has %d records, want %d (replay must not duplicate)", len(recs), len(batch))
 	}
@@ -250,30 +250,6 @@ func TestLongSessionHashedNotTruncated(t *testing.T) {
 	}
 }
 
-// TestLegacyMode: Options.Legacy speaks the sessionless v1 protocol —
-// no handshake, no dedup, a resend appends twice.
-func TestLegacyMode(t *testing.T) {
-	srv, st, addr := newBackend(t, ingest.Options{})
-	c := New(addr, Options{Conns: 1, Legacy: true})
-	defer c.Close()
-	if c.Session() != "" {
-		t.Fatalf("legacy client has session %q", c.Session())
-	}
-	batch := []logs.Action{act("p", 0)}
-	if _, err := c.AppendBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AppendBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if n := st.Len(); n != 2 {
-		t.Fatalf("store has %d records, want 2 (v1 has no dedup)", n)
-	}
-	if got := srv.Stats().Sessions; got != 0 {
-		t.Fatalf("legacy client performed %d handshakes", got)
-	}
-}
-
 // TestFlushAndClose: Flush ships a part-filled group before its
 // deadline; Close flushes and then refuses further work.
 func TestFlushAndClose(t *testing.T) {
@@ -304,7 +280,7 @@ func TestFlushAndClose(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if n := len(st.Records("p")); n != 1 {
+	if n := len(st.ScanShardTail("p", store.Filter{}, 0, -1)); n != 1 {
 		t.Fatalf("store has %d records, want 1", n)
 	}
 	if err := c.Close(); err != nil {
@@ -329,7 +305,7 @@ func TestChunkedBatch(t *testing.T) {
 	if _, err := c.AppendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	recs := st.Records("p")
+	recs := st.ScanShardTail("p", store.Filter{}, 0, -1)
 	if len(recs) != len(batch) {
 		t.Fatalf("store has %d records, want %d", len(recs), len(batch))
 	}

@@ -37,13 +37,13 @@ var resultChPool = sync.Pool{New: func() any { return make(chan result, 1) }}
 // network write, so the reader's ack dispatch (which needs the state
 // mutex) can always drain replies even while a writer is blocked in a
 // backpressured send. The connection redials lazily after a failure:
-// the next request pays the dial, every later one finds it warm. A
-// sessioned connection (session != "") opens every dial with the v2
-// hello, binding its batches to the client's idempotency session.
+// the next request pays the dial, every later one finds it warm. Every
+// dial opens with the v2 hello, binding the connection's batches to the
+// client's idempotency session.
 type conn struct {
 	addr        string
 	dialTimeout time.Duration
-	session     string      // "" = legacy v1 connection
+	session     string      // the client's idempotency session
 	tlsConf     *tls.Config // nil = cleartext
 	token       string      // cleartext auth token ("" = none)
 
@@ -53,15 +53,15 @@ type conn struct {
 	nextID  uint64
 	pending map[uint64]chan result
 	closed  bool
-	floor   uint64 // last helloack's committed batch sequence (sessioned conns)
+	floor   uint64 // last helloack's committed batch sequence
 
 	wmu     sync.Mutex // serialises frame writes on the live connection
 	enc     *wire.StreamEncoder
 	scratch *wire.Encoder // request envelope buffer, reused under wmu
 }
 
-// roundTrip sends one batch under the given session batch sequence
-// (ignored on a legacy connection) and waits for its ack. A conn-level
+// roundTrip sends one batch under the given session batch sequence and
+// waits for its ack. A conn-level
 // failure is reported wrapping errConnBroken and the connection is torn
 // down; a server rejection comes back as *ServerError and leaves the
 // connection usable.
@@ -93,11 +93,7 @@ func (cn *conn) roundTrip(acts []logs.Action, batchSeq uint64, timeout time.Dura
 	// fail(gen) below is a no-op on the stale generation.
 	cn.wmu.Lock()
 	cn.scratch.Reset()
-	if cn.session != "" {
-		cn.scratch.IngestBatch2(id, batchSeq, acts)
-	} else {
-		cn.scratch.IngestBatch(id, acts)
-	}
+	cn.scratch.IngestBatch2(id, batchSeq, acts)
 	err := enc.Envelope(cn.scratch.Bytes())
 	if err == nil {
 		err = enc.Flush()
@@ -144,8 +140,8 @@ func (cn *conn) roundTrip(acts []logs.Action, batchSeq uint64, timeout time.Dura
 }
 
 // dialLocked establishes the connection and starts its reader; the
-// caller holds cn.mu. A sessioned connection performs the v2 handshake
-// synchronously before the reader starts: hello out, helloack back,
+// caller holds cn.mu. The v2 handshake runs synchronously before the
+// reader starts: hello out, helloack back,
 // the session's committed floor recorded — so by the time any batch
 // can be written, the client knows where the committed prefix ends
 // (Client.ensureSeeded relies on this to keep a resumed session's new
@@ -161,12 +157,10 @@ func (cn *conn) dialLocked() error {
 		cn.scratch = wire.NewEncoder()
 	}
 	dec := wire.NewStreamDecoder(nc)
-	if cn.session != "" {
-		if err := cn.handshakeLocked(nc, dec); err != nil {
-			nc.Close()
-			cn.nc, cn.enc = nil, nil
-			return err
-		}
+	if err := cn.handshakeLocked(nc, dec); err != nil {
+		nc.Close()
+		cn.nc, cn.enc = nil, nil
+		return err
 	}
 	cn.gen++
 	if cn.pending == nil {

@@ -73,7 +73,7 @@ func TestJournalCrashReplay(t *testing.T) {
 	if p := j2.Pending(); len(p) != 0 {
 		t.Fatalf("journal still pending %v after replay", p)
 	}
-	recs := st.GlobalRecords()
+	recs := st.ScanGlobalTail(0, -1)
 	if len(recs) != 4 {
 		t.Fatalf("store holds %d records after replay, want 4", len(recs))
 	}
@@ -245,8 +245,8 @@ func TestJournaledClientEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := control.GlobalRecords()
-	got := st.GlobalRecords()
+	want := control.ScanGlobalTail(0, -1)
+	got := st.ScanGlobalTail(0, -1)
 	if len(got) != len(want) {
 		t.Fatalf("store holds %d records, control %d", len(got), len(want))
 	}

@@ -82,7 +82,7 @@ func TestTLSRetryReconnect(t *testing.T) {
 	if _, err := c.AppendBatch([]logs.Action{act("p", 1)}); err != nil {
 		t.Fatalf("append after restart: %v", err)
 	}
-	if n := len(st.Records("p")); n != 2 {
+	if n := len(st.ScanShardTail("p", store.Filter{}, 0, -1)); n != 2 {
 		t.Fatalf("store has %d records, want 2", n)
 	}
 }
@@ -113,7 +113,7 @@ func TestTLSReplayAfterLostAck(t *testing.T) {
 	default:
 		t.Fatal("proxy never dropped an ack; the test exercised nothing")
 	}
-	recs := st.GlobalRecords()
+	recs := st.ScanGlobalTail(0, -1)
 	if len(recs) != len(batch) {
 		t.Fatalf("store has %d records, want %d (replay must not duplicate)", len(recs), len(batch))
 	}

@@ -1,6 +1,6 @@
 package provd
 
-// Coordinator mode: the HTTP front end of a partitioned fleet
+// The fleet backend: the HTTP surface of a partitioned fleet
 // (docs/architecture.md, "The partition layer"). A coordinator owns no
 // store — every read scatters to the partition leaders over the binary
 // read protocol and merges (internal/cluster.Fleet), every write routes
@@ -9,19 +9,17 @@ package provd
 // provenance can name, so its verdict is the owner's verdict bit for
 // bit.
 //
-// The surface mirrors the single-node Server: same routes, same DTOs,
-// same error mapping, so operators and tooling move between a node and
-// a fleet by changing an address. The differences are inherent to
-// partitioning and documented in docs/operations.md: the merged /log
-// tail is a single page, forward walks paginate by vector cursor, and
-// a cross-partition audit is refused with the partition split named
-// rather than answered with a verdict no single log justifies.
+// The routes, DTOs, identity checks and error mapping are Server's, so
+// operators and tooling move between a node and a fleet by changing an
+// address. What lives here is inherent to partitioning and documented in
+// docs/operations.md: the merged /log tail is a single page, forward
+// walks paginate by vector cursor, a cross-partition audit is refused
+// with the partition split named rather than answered with a verdict no
+// single log justifies, and there is no store to compact.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -31,36 +29,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/auth"
 	"repro/internal/cluster"
-	"repro/internal/ingest"
 	"repro/internal/logs"
-	"repro/internal/query"
+	"repro/internal/syntax"
 )
-
-// writeJSON, resolveGrant and withGrant are the package-level forms of
-// the Server helpers, shared by coordinator mode (which has no Server).
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func resolveGrant(g *auth.Guard, r *http.Request) *auth.Grant {
-	if r.TLS != nil && len(r.TLS.PeerCertificates) > 0 {
-		if gr := g.GrantForCert(r.TLS.PeerCertificates); gr != nil {
-			return gr
-		}
-	}
-	if tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); ok {
-		return g.Map.ByToken(tok)
-	}
-	return nil
-}
-
-func withGrant(ctx context.Context, g *auth.Grant) context.Context {
-	return context.WithValue(ctx, grantKey{}, g)
-}
 
 // CoordinatorOptions tunes the fleet-facing side of a coordinator.
 type CoordinatorOptions struct {
@@ -73,198 +45,54 @@ type CoordinatorOptions struct {
 	Token string
 }
 
-// Coordinator serves the provd HTTP surface over a partitioned fleet.
-type Coordinator struct {
-	fleet   *cluster.Fleet
-	opts    CoordinatorOptions
-	mux     *http.ServeMux
-	started time.Time
-	ingest  *ingest.Server
-	auth    *auth.Guard
+type fleetBackend struct {
+	*cluster.Fleet
+	opts CoordinatorOptions
 
-	requests atomic.Uint64
-	badReqs  atomic.Uint64
 	proxied  atomic.Uint64
 	refusals atomic.Uint64 // cross-partition audits refused
 }
 
-// NewCoordinator wires the coordinator routes over a fleet read plane.
-func NewCoordinator(f *cluster.Fleet, opts CoordinatorOptions) *Coordinator {
+// NewCoordinator serves the HTTP surface over a partitioned fleet.
+func NewCoordinator(f *cluster.Fleet, opts CoordinatorOptions) *Server {
 	if opts.Client == nil {
 		opts.Client = &http.Client{Timeout: 30 * time.Second}
 	}
-	c := &Coordinator{fleet: f, opts: opts, mux: http.NewServeMux(), started: time.Now()}
-	c.mux.HandleFunc("POST /append", c.handleAppend)
-	c.mux.HandleFunc("GET /log", c.handleGlobalLog)
-	c.mux.HandleFunc("GET /log/{principal}", c.handleShardLog)
-	c.mux.HandleFunc("POST /audit", c.handleAudit)
-	c.mux.HandleFunc("POST /compact", c.handleCompact)
-	c.mux.HandleFunc("GET /principals", c.handlePrincipals)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-	return c
+	return newServer(&fleetBackend{Fleet: f, opts: opts})
 }
 
-// AttachIngest joins the coordinator's binary listener counters (the
-// scatter-gather query/follow surface) to /metrics.
-func (c *Coordinator) AttachIngest(in *ingest.Server) { c.ingest = in }
+func (b *fleetBackend) refuseWrite(http.ResponseWriter, *http.Request) bool { return false }
 
-// SetAuth turns on identity enforcement, the same Guard semantics as
-// the single-node Server.
-func (c *Coordinator) SetAuth(g *auth.Guard) { c.auth = g }
-
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
-	if c.auth != nil && r.URL.Path != "/healthz" && r.URL.Path != "/metrics" {
-		grant := resolveGrant(c.auth, r)
-		if grant == nil {
-			c.auth.ConnRejects.Add(1)
-			writeJSON(w, http.StatusUnauthorized, map[string]string{
-				"error": "no known identity: present a client certificate or bearer token",
-			})
-			return
-		}
-		r = r.WithContext(withGrant(r.Context(), grant))
+// appendActions routes a write through the fleet's binary write plane.
+// A batch may span partitions, and a fleet assigns no single contiguous
+// sequence block, so the response reports only the count.
+func (b *fleetBackend) appendActions(acts []logs.Action, _ bool) (any, error) {
+	if err := b.AppendActions(acts); err != nil {
+		return nil, upstreamError{err}
 	}
-	c.mux.ServeHTTP(w, r)
+	return map[string]any{"count": len(acts), "routed": true}, nil
 }
 
-func (c *Coordinator) clientError(w http.ResponseWriter, err error) {
-	c.badReqs.Add(1)
-	writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-}
+func (b *fleetBackend) compact(string) error { return errNoStore }
 
-// coerceRead mirrors Server.coerceRead for the coordinator's guard.
-func (c *Coordinator) coerceRead(w http.ResponseWriter, r *http.Request, observer *string) bool {
-	grant := grantFrom(r)
-	if grant == nil {
-		return true
-	}
-	if !grant.CanRead() {
-		c.auth.QueryRejects.Add(1)
-		writeJSON(w, http.StatusForbidden, map[string]string{
-			"error": fmt.Sprintf("identity %q lacks the read role", grant.Name),
-		})
-		return false
-	}
-	*observer = grant.CoerceObserver(*observer)
-	return true
-}
-
-// handleAppend routes a write through the fleet's binary write plane.
-// A batch may span partitions; the response reports each leader's
-// share, because a fleet assigns no single contiguous sequence block.
-func (c *Coordinator) handleAppend(w http.ResponseWriter, r *http.Request) {
-	grant := grantFrom(r)
-	if grant != nil && !grant.CanAppend() {
-		c.auth.AppendRejects.Add(1)
-		writeJSON(w, http.StatusForbidden, map[string]string{
-			"error": fmt.Sprintf("identity %q lacks the append role", grant.Name),
-		})
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// do issues one leader HTTP call under the coordinator's identity.
+func (b *fleetBackend) do(method, target string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequest(method, target, body)
 	if err != nil {
-		c.clientError(w, fmt.Errorf("reading body: %w", err))
-		return
+		return nil, err
 	}
-	var dtos []ActionDTO
-	if t := bytes.TrimLeft(body, " \t\r\n"); len(t) > 0 && t[0] == '[' {
-		if err := json.Unmarshal(t, &dtos); err != nil {
-			c.clientError(w, fmt.Errorf("decoding action batch: %w", err))
-			return
-		}
-	} else {
-		var dto ActionDTO
-		if err := json.Unmarshal(body, &dto); err != nil {
-			c.clientError(w, fmt.Errorf("decoding action: %w", err))
-			return
-		}
-		dtos = append(dtos, dto)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	if len(dtos) == 0 {
-		c.clientError(w, fmt.Errorf("empty action batch"))
-		return
+	if b.opts.Token != "" {
+		req.Header.Set("Authorization", "Bearer "+b.opts.Token)
 	}
-	batch := make([]logs.Action, 0, len(dtos))
-	for i, dto := range dtos {
-		a, err := dto.action()
-		if err != nil {
-			c.clientError(w, fmt.Errorf("action %d: %w", i, err))
-			return
-		}
-		if grant != nil && !grant.AllowsPrincipal(a.Principal) {
-			c.auth.AppendRejects.Add(1)
-			writeJSON(w, http.StatusForbidden, map[string]string{
-				"error": fmt.Sprintf("identity %q may not append as principal %q", grant.Name, a.Principal),
-			})
-			return
-		}
-		batch = append(batch, a)
-	}
-	if err := c.fleet.AppendActions(batch); err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(batch), "routed": true})
+	return b.opts.Client.Do(req)
 }
 
-// serveLog mirrors Server.serveLog over the fleet runner.
-func (c *Coordinator) serveLog(w http.ResponseWriter, q query.Query) {
-	probe := q.Limit == 0
-	if probe {
-		q.Limit = 1
-	}
-	page, err := c.fleet.Run(q)
-	switch {
-	case errors.Is(err, query.ErrDenied):
-		writeJSON(w, http.StatusForbidden, map[string]string{
-			"error": fmt.Sprintf("principal %s does not disclose its log to %q", q.Principal, q.Observer),
-		})
-		return
-	case err != nil:
-		c.clientError(w, err)
-		return
-	}
-	if probe {
-		page.Records, page.Cursor = nil, ""
-	}
-	writeJSON(w, http.StatusOK, LogResponse{
-		Principal: q.Principal,
-		Observer:  q.Observer,
-		Records:   recordDTOs(page.Records),
-		Log:       query.SpineString(page.Records),
-		Cursor:    page.Cursor,
-	})
-}
-
-func (c *Coordinator) handleGlobalLog(w http.ResponseWriter, r *http.Request) {
-	q, err := logQuery(r, "")
-	if err != nil {
-		c.clientError(w, err)
-		return
-	}
-	if !c.coerceRead(w, r, &q.Observer) {
-		return
-	}
-	c.serveLog(w, q)
-}
-
-func (c *Coordinator) handleShardLog(w http.ResponseWriter, r *http.Request) {
-	q, err := logQuery(r, r.PathValue("principal"))
-	if err != nil {
-		c.clientError(w, err)
-		return
-	}
-	if !c.coerceRead(w, r, &q.Observer) {
-		return
-	}
-	c.serveLog(w, q)
-}
-
-// handleAudit routes the Definition-3 check to the one leader holding
-// every record the claim's provenance can name. The verdict depends
-// only on the relative order of the principals the provenance names
+// audit routes the Definition-3 check to the one leader holding every
+// record the claim's provenance can name. The verdict depends only on
+// the relative order of the principals the provenance names
 // (docs/security.md, "Audit locality"); when they all live on one
 // partition, the owner's global log restricted to them is exactly the
 // fleet's, and the proxied verdict is bit-identical to a single node's.
@@ -272,235 +100,108 @@ func (c *Coordinator) handleShardLog(w http.ResponseWriter, r *http.Request) {
 // — answered locally. A provenance spanning partitions has no single
 // log that justifies a verdict; it is refused with the split named, not
 // guessed at.
-func (c *Coordinator) handleAudit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		c.clientError(w, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	var req AuditRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		c.clientError(w, fmt.Errorf("decoding audit request: %w", err))
-		return
-	}
-	if req.Value == "" {
-		c.clientError(w, fmt.Errorf("audit needs a value"))
-		return
-	}
-	if grant := grantFrom(r); grant != nil && !grant.CanRead() {
-		c.auth.QueryRejects.Add(1)
-		writeJSON(w, http.StatusForbidden, map[string]string{
-			"error": fmt.Sprintf("identity %q lacks the read role", grant.Name),
-		})
-		return
-	}
-	k, err := provOf(req.Prov, 0)
-	if err != nil {
-		c.clientError(w, err)
-		return
-	}
-	owners := c.fleet.AuditPrincipals(k)
+func (b *fleetBackend) audit(w http.ResponseWriter, req AuditRequest, _ logs.Term, k syntax.Prov) {
 	if len(k) == 0 {
 		// ⟦V:ε⟧ = Nil ≼ φ for every φ: trivially correct, no leader needed.
 		writeJSON(w, http.StatusOK, AuditResponse{Correct: true})
 		return
 	}
+	owners := b.AuditPrincipals(k)
 	if len(owners) > 1 {
-		c.refusals.Add(1)
+		b.refusals.Add(1)
 		parts := make([]string, 0, len(owners))
 		for id, ps := range owners {
 			parts = append(parts, fmt.Sprintf("%s(%s)", id, strings.Join(ps, ",")))
 		}
 		sort.Strings(parts)
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{
-			"error": fmt.Sprintf("audit provenance spans %d partitions [%s]: no single leader holds the interleaving; audit each principal's events separately or repartition with overrides", len(owners), strings.Join(parts, " ")),
-		})
+		writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("audit provenance spans %d partitions [%s]: no single leader holds the interleaving; audit each principal's events separately or repartition with overrides", len(owners), strings.Join(parts, " ")))
 		return
 	}
-	var ownerID string
+	var ownerID, base string
 	for id := range owners {
 		ownerID = id
 	}
-	c.proxyAudit(w, ownerID, body)
-}
-
-// proxyAudit forwards the audit body to the owning leader's HTTP /audit
-// and relays status and body verbatim — the bit-identical contract.
-func (c *Coordinator) proxyAudit(w http.ResponseWriter, leaderID string, body []byte) {
-	var base string
-	for _, l := range c.fleet.Leaders() {
-		if l.ID == leaderID {
+	for _, l := range b.Leaders() {
+		if l.ID == ownerID {
 			base = l.HTTP
 		}
 	}
 	if base == "" {
-		writeJSON(w, http.StatusBadGateway, map[string]string{
-			"error": fmt.Sprintf("leader %q exposes no http endpoint in the partition map; audits need http= on every leader", leaderID),
-		})
+		writeError(w, http.StatusBadGateway, fmt.Errorf("leader %q exposes no http endpoint in the partition map; audits need http= on every leader", ownerID))
 		return
 	}
-	req, err := http.NewRequest(http.MethodPost, strings.TrimRight(base, "/")+"/audit", bytes.NewReader(body))
+	// The request travels under the coordinator's identity, so what is
+	// forwarded is the request as coerced for the caller — never the
+	// caller's own bytes. Status and body come back verbatim: the
+	// bit-identical contract.
+	body, err := json.Marshal(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
+		writeError(w, http.StatusBadGateway, err)
 		return
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if c.opts.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.opts.Token)
-	}
-	resp, err := c.opts.Client.Do(req)
+	resp, err := b.do(http.MethodPost, strings.TrimRight(base, "/")+"/audit", bytes.NewReader(body))
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": fmt.Sprintf("leader %s: %v", leaderID, err)})
+		writeError(w, http.StatusBadGateway, fmt.Errorf("leader %s: %v", ownerID, err))
 		return
 	}
 	defer resp.Body.Close()
-	c.proxied.Add(1)
+	b.proxied.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 }
 
-// handleCompact names the right place to compact instead of pretending
-// to: compaction is a per-leader store operation.
-func (c *Coordinator) handleCompact(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusMisdirectedRequest, map[string]string{
-		"error": "a coordinator holds no store; POST /compact to each partition leader",
-	})
-}
-
-// handlePrincipals merges every leader's visible-principal census. Each
-// leader applies its own disclosure policy before answering, so the
-// merged list discloses exactly the union of what each leader would.
-func (c *Coordinator) handlePrincipals(w http.ResponseWriter, r *http.Request) {
-	v := r.URL.Query()
-	observer := v.Get("observer")
-	if !c.coerceRead(w, r, &observer) {
-		return
-	}
-	merged, err := c.gatherPrincipals(observer)
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
-		return
-	}
-	if v.Get("limit") == "" && v.Get("cursor") == "" {
-		ps := make([]string, len(merged))
-		for i, pc := range merged {
-			ps[i] = pc.Principal
-		}
-		writeJSON(w, http.StatusOK, ps)
-		return
-	}
-	limit, err := query.ParseLimit(v.Get("limit"))
-	if err != nil {
-		c.clientError(w, err)
-		return
-	}
-	if limit == 0 {
-		c.clientError(w, fmt.Errorf("principals pagination needs a positive limit"))
-		return
-	}
-	if after, ok := decodePrincipalCursor(v.Get("cursor")); ok {
-		i := sort.Search(len(merged), func(i int) bool { return merged[i].Principal > after })
-		merged = merged[i:]
-	} else if v.Get("cursor") != "" {
-		c.clientError(w, fmt.Errorf("%w: unrecognised principals cursor", query.ErrBadCursor))
-		return
-	}
-	resp := PrincipalsResponse{Principals: make([]PrincipalDTO, 0, min(limit, len(merged)))}
-	for _, pc := range merged {
-		if len(resp.Principals) >= limit {
-			resp.Cursor = encodePrincipalCursor(resp.Principals[len(resp.Principals)-1].Principal)
-			break
-		}
-		resp.Principals = append(resp.Principals, pc)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// gatherPrincipals scatters the paginated principal census to every
-// leader's HTTP endpoint and merges the pages name-sorted. Ownership is
+// principals scatters the paginated principal census to every leader's
+// HTTP endpoint and merges the pages name-sorted. Each leader applies
+// its own disclosure policy before answering, so the merged list
+// discloses exactly the union of what each leader would; ownership is
 // disjoint, so the union has no duplicates to resolve.
-func (c *Coordinator) gatherPrincipals(observer string) ([]PrincipalDTO, error) {
+func (b *fleetBackend) principals(observer string) ([]PrincipalDTO, error) {
 	var merged []PrincipalDTO
-	for _, l := range c.fleet.Leaders() {
+	for _, l := range b.Leaders() {
 		if l.HTTP == "" {
 			return nil, fmt.Errorf("leader %q exposes no http endpoint in the partition map", l.ID)
 		}
-		cursor := ""
+		params := url.Values{"limit": {"10000"}}
+		if observer != "" {
+			params.Set("observer", observer)
+		}
 		for {
-			u := strings.TrimRight(l.HTTP, "/") + "/principals?limit=10000"
-			if observer != "" {
-				u += "&observer=" + url.QueryEscape(observer)
-			}
-			if cursor != "" {
-				u += "&cursor=" + url.QueryEscape(cursor)
-			}
-			req, err := http.NewRequest(http.MethodGet, u, nil)
+			page, err := b.principalsPage(l, params)
 			if err != nil {
 				return nil, err
-			}
-			if c.opts.Token != "" {
-				req.Header.Set("Authorization", "Bearer "+c.opts.Token)
-			}
-			resp, err := c.opts.Client.Do(req)
-			if err != nil {
-				return nil, fmt.Errorf("leader %s: %w", l.ID, err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				resp.Body.Close()
-				return nil, fmt.Errorf("leader %s: principals returned %d: %s", l.ID, resp.StatusCode, strings.TrimSpace(string(b)))
-			}
-			var page PrincipalsResponse
-			err = json.NewDecoder(resp.Body).Decode(&page)
-			resp.Body.Close()
-			if err != nil {
-				return nil, fmt.Errorf("leader %s: decoding principals: %w", l.ID, err)
 			}
 			merged = append(merged, page.Principals...)
 			if page.Cursor == "" {
 				break
 			}
-			cursor = page.Cursor
+			params.Set("cursor", page.Cursor)
 		}
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].Principal < merged[j].Principal })
 	return merged, nil
 }
 
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	m := c.fleet.Map()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"role":     "coordinator",
-		"epoch":    m.Epoch,
-		"leaders":  len(m.Leaders),
-		"uptime_s": time.Since(c.started).Seconds(),
-	})
+func (b *fleetBackend) principalsPage(l cluster.Leader, params url.Values) (PrincipalsResponse, error) {
+	var page PrincipalsResponse
+	resp, err := b.do(http.MethodGet, strings.TrimRight(l.HTTP, "/")+"/principals?"+params.Encode(), nil)
+	if err != nil {
+		return page, fmt.Errorf("leader %s: %w", l.ID, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512)) // best effort: the status is the error
+		return page, fmt.Errorf("leader %s: principals returned %d: %s", l.ID, resp.StatusCode, strings.TrimSpace(string(msg)))
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+		return page, fmt.Errorf("leader %s: decoding principals: %w", l.ID, err)
+	}
+	return page, nil
 }
 
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := c.fleet.Map()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "provd_http_requests_total %d\n", c.requests.Load())
-	fmt.Fprintf(w, "provd_http_bad_requests_total %d\n", c.badReqs.Load())
-	fmt.Fprintf(w, "provd_uptime_seconds %.3f\n", time.Since(c.started).Seconds())
-	fmt.Fprintf(w, "provd_cluster_epoch %d\n", m.Epoch)
-	fmt.Fprintf(w, "provd_cluster_leaders %d\n", len(m.Leaders))
-	fmt.Fprintf(w, "provd_cluster_audit_proxies_total %d\n", c.proxied.Load())
-	fmt.Fprintf(w, "provd_cluster_audit_refusals_total %d\n", c.refusals.Load())
-	if c.ingest != nil {
-		in := c.ingest.Stats()
-		fmt.Fprintf(w, "provd_ingest_connections_total %d\n", in.Accepted)
-		fmt.Fprintf(w, "provd_ingest_connections_active %d\n", in.Active)
-		fmt.Fprintf(w, "provd_ingest_queries_total %d\n", in.Queries)
-		fmt.Fprintf(w, "provd_ingest_query_records_total %d\n", in.QueryRecords)
-		fmt.Fprintf(w, "provd_ingest_follows_total %d\n", in.Follows)
-		fmt.Fprintf(w, "provd_ingest_query_rejects_total %d\n", in.QueryRejects)
-	}
-	if c.auth != nil {
-		fmt.Fprintf(w, "provd_auth_conn_rejects_total %d\n", c.auth.ConnRejects.Load())
-		fmt.Fprintf(w, "provd_auth_append_rejects_total %d\n", c.auth.AppendRejects.Load())
-		fmt.Fprintf(w, "provd_auth_query_rejects_total %d\n", c.auth.QueryRejects.Load())
-	}
+func (b *fleetBackend) health(h map[string]any) {
+	m := b.Map()
+	h["role"] = "coordinator"
+	h["epoch"] = m.Epoch
+	h["leaders"] = len(m.Leaders)
 }

@@ -1,9 +1,14 @@
 // Package provd is the application layer of the provenance log daemon:
-// the HTTP/JSON audit and query service over a store.Store, plus the
-// glue that surfaces the binary ingest listener's counters. cmd/provd
-// wires it to flags and signals; living here (rather than in the
-// command) lets benchmarks and load generators drive the real handlers
-// in process.
+// one HTTP/JSON handler set — append, log, audit, compact, principals,
+// health, metrics — served over one of two backends. The local backend
+// (local.go) is a store.Store with its query engine and, in replica
+// mode, the replicator feeding it; the fleet backend (coordinator.go) is
+// a partitioned fleet's routed write plane and merged read plane.
+// Identity resolution, observer coercion, append admission, request
+// parsing, pagination and error mapping live once, in Server; a backend
+// holds only what is inherent to where the log lives. cmd/provd wires it
+// to flags and signals; living here (rather than in the command) lets
+// benchmarks and load generators drive the real handlers in process.
 package provd
 
 import (
@@ -25,32 +30,46 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/logs"
 	"repro/internal/query"
-	"repro/internal/replica"
 	"repro/internal/store"
-	"repro/internal/trust"
+	"repro/internal/syntax"
 	"repro/internal/wire"
 )
 
-// Server is the audit/query front end over a store.Store: every read
-// endpoint is a thin adapter over the typed query engine
-// (internal/query), which owns filtering, cursor pagination and
-// disclosure redaction — the same engine the binary read path serves,
-// so HTTP and binary observers see byte-identical decisions.
+// backend is where the log behind the HTTP surface lives: one node's
+// store, or a partitioned fleet.
+type backend interface {
+	// Run serves one log page.
+	Run(q query.Query) (query.Page, error)
+	// refuseWrite answers a mutating request the backend cannot take at
+	// all (a replica points at its leader) and reports whether it did.
+	refuseWrite(w http.ResponseWriter, r *http.Request) bool
+	// appendActions appends admitted actions and returns the response
+	// body; batch is whether the request was a JSON array.
+	appendActions(acts []logs.Action, batch bool) (any, error)
+	// audit answers the Definition-3 check of term:k; req.Observer is
+	// already coerced to the caller's grant.
+	audit(w http.ResponseWriter, req AuditRequest, term logs.Term, k syntax.Prov)
+	// compact merges sealed segments of one shard ("" = all).
+	compact(principal string) error
+	// principals lists the shards observer may know of, name-sorted.
+	principals(observer string) ([]PrincipalDTO, error)
+	// health adds the backend's role and position to the /healthz body.
+	health(h map[string]any)
+	// metrics writes the backend's /metrics lines (metrics.go).
+	metrics(w io.Writer)
+}
+
+// Server is the audit/query front end over a backend. Every read
+// endpoint is a thin adapter over the typed query plane (internal/query)
+// — the same one the binary read path serves, so HTTP and binary
+// observers see byte-identical decisions.
 type Server struct {
-	store   *store.Store
-	policy  *trust.DisclosurePolicy
-	engine  *query.Engine
+	backend backend
 	mux     *http.ServeMux
 	started time.Time
-	// ingest, when set, is the binary pipelined listener sharing the
-	// store; its counters join /metrics so one scrape covers both
-	// ingestion surfaces.
+	// ingest, when set, is the binary pipelined listener beside this
+	// surface; its counters join /metrics so one scrape covers both.
 	ingest *ingest.Server
-	// replica, when set, puts the server in replica mode (replica.go in
-	// this package): reads serve locally, writes are refused toward the
-	// leader, health and metrics carry role and lag.
-	replica    *replica.Replicator
-	leaderHTTP string
 	// auth, when set, turns on identity enforcement (SetAuth): every
 	// endpoint except /healthz and /metrics requires a resolved grant,
 	// checked per operation exactly like the binary surface checks it.
@@ -66,15 +85,12 @@ type Server struct {
 	badReqs  atomic.Uint64
 }
 
-// NewServer wires the routes. A nil policy means full disclosure.
-func NewServer(st *store.Store, policy *trust.DisclosurePolicy) *Server {
-	if policy == nil {
-		policy = trust.NewDisclosurePolicy()
-	}
-	s := &Server{store: st, policy: policy, engine: query.NewEngine(st, policy), mux: http.NewServeMux(), started: time.Now()}
+// newServer wires the routes over a backend.
+func newServer(b backend) *Server {
+	s := &Server{backend: b, mux: http.NewServeMux(), started: time.Now()}
 	s.mux.HandleFunc("POST /append", s.handleAppend)
-	s.mux.HandleFunc("GET /log", s.handleGlobalLog)
-	s.mux.HandleFunc("GET /log/{principal}", s.handleShardLog)
+	s.mux.HandleFunc("GET /log", s.handleLog)
+	s.mux.HandleFunc("GET /log/{principal}", s.handleLog)
 	s.mux.HandleFunc("POST /audit", s.handleAudit)
 	s.mux.HandleFunc("POST /compact", s.handleCompact)
 	s.mux.HandleFunc("GET /principals", s.handlePrincipals)
@@ -83,14 +99,9 @@ func NewServer(st *store.Store, policy *trust.DisclosurePolicy) *Server {
 	return s
 }
 
-// AttachIngest joins a binary ingest listener's counters to /metrics,
-// so one scrape covers both ingestion surfaces.
+// AttachIngest joins a binary listener's counters to /metrics, so one
+// scrape covers both surfaces.
 func (s *Server) AttachIngest(in *ingest.Server) { s.ingest = in }
-
-// Engine exposes the server's query engine so the binary read path can
-// share it (ingest.Options.Engine): one engine, one set of
-// redaction/denial counters, whichever surface served the read.
-func (s *Server) Engine() *query.Engine { return s.engine }
 
 // SetAuth turns on identity enforcement. Pass the same Guard as
 // ingest.Options.Auth so both surfaces share one identity map and one
@@ -101,18 +112,6 @@ func (s *Server) SetAuth(g *auth.Guard) { s.auth = g }
 // ingest.Options.Cluster so both write surfaces enforce one ownership
 // decision.
 func (s *Server) SetCluster(cv ingest.ClusterView) { s.cluster = cv }
-
-// forbidNotOwned writes the 421 for an append naming a principal this
-// leader does not own under the current map epoch.
-func (s *Server) forbidNotOwned(w http.ResponseWriter, principal string) bool {
-	if s.cluster == nil || s.cluster.Owns(principal) {
-		return false
-	}
-	s.writeJSON(w, http.StatusMisdirectedRequest, map[string]string{
-		"error": fmt.Sprintf("cluster: not owner of principal %q at epoch %d: refetch the map and re-route", principal, s.cluster.Epoch()),
-	})
-	return true
-}
 
 // grantKey stashes the request's resolved grant in its context.
 type grantKey struct{}
@@ -125,7 +124,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		grant := s.resolveGrant(r)
 		if grant == nil {
 			s.auth.ConnRejects.Add(1)
-			s.writeJSON(w, http.StatusUnauthorized, map[string]string{
+			writeJSON(w, http.StatusUnauthorized, map[string]string{
 				"error": "no known identity: present a client certificate or bearer token",
 			})
 			return
@@ -140,7 +139,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // token against the auth map's token table (the dev shape). Nil if
 // neither names a known identity.
 func (s *Server) resolveGrant(r *http.Request) *auth.Grant {
-	return resolveGrant(s.auth, r)
+	if r.TLS != nil && len(r.TLS.PeerCertificates) > 0 {
+		if gr := s.auth.GrantForCert(r.TLS.PeerCertificates); gr != nil {
+			return gr
+		}
+	}
+	if tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); ok {
+		return s.auth.Map.ByToken(tok)
+	}
+	return nil
 }
 
 // grantFrom recovers the grant ServeHTTP resolved (nil when
@@ -150,41 +157,74 @@ func grantFrom(r *http.Request) *auth.Grant {
 	return g
 }
 
-// forbidRole writes the 403 for an operation the grant's roles do not
-// cover, bumping the given rejection counter.
-func (s *Server) forbidRole(w http.ResponseWriter, ctr *atomic.Uint64, grant *auth.Grant, role string) {
-	ctr.Add(1)
-	s.writeJSON(w, http.StatusForbidden, map[string]string{
-		"error": fmt.Sprintf("identity %q lacks the %s role", grant.Name, role),
-	})
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	writeJSON(w, code, v)
+func writeError(w http.ResponseWriter, code int, err error) {
+	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 func (s *Server) clientError(w http.ResponseWriter, err error) {
 	s.badReqs.Add(1)
-	s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	writeError(w, http.StatusBadRequest, err)
+}
+
+// coerceRead gates a read on the grant's read role and pins its
+// observer to the grant — whatever view the caller asked for (including
+// the full, unredacted "" view), it reads as the observer its identity
+// maps to; replica-role grants pass through. Reports whether the read
+// may proceed.
+func (s *Server) coerceRead(w http.ResponseWriter, r *http.Request, observer *string) bool {
+	grant := grantFrom(r)
+	if grant == nil {
+		return true
+	}
+	if !grant.CanRead() {
+		s.auth.QueryRejects.Add(1)
+		writeError(w, http.StatusForbidden, fmt.Errorf("identity %q lacks the read role", grant.Name))
+		return false
+	}
+	*observer = grant.CoerceObserver(*observer)
+	return true
+}
+
+// admit runs the shared append admission (ingest.Admit) for a write
+// naming acts and translates a refusal to this surface's reply: 403 for
+// a role or grant violation, 421 for a principal another leader owns.
+// Reports whether the write may proceed.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, acts []logs.Action) bool {
+	rej := ingest.Admit(grantFrom(r), s.cluster, acts)
+	if rej == nil {
+		return true
+	}
+	code := http.StatusMisdirectedRequest
+	if rej.Reason != ingest.RejectNotOwner {
+		code = http.StatusForbidden
+		s.auth.AppendRejects.Add(1)
+	}
+	writeError(w, code, rej)
+	return false
 }
 
 const maxBodyBytes = 1 << 20
 
 // handleAppend durably appends one action — or, when the body is a JSON
-// array, a whole batch in one store lock round — and returns the
-// assigned sequence number(s). This is the ingestion path for
-// middlewares that are not in-process (an in-process runtime.Net uses
-// the sink hook directly); a remote mirror draining its own async
-// pipeline should post batches, matching the store's AppendBatch fast
-// path.
+// array, a whole batch in one round — and returns what the backend
+// assigned. The whole batch must pass admission: rejecting it entire
+// keeps the "error means none appended" contract the binary surface
+// gives. This is the ingestion path for middlewares that are not
+// in-process (an in-process runtime.Net uses the sink hook directly); a
+// remote mirror draining its own async pipeline should post batches.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if s.replica != nil {
-		s.rejectWrite(w, r)
+	if s.backend.refuseWrite(w, r) {
 		return
 	}
-	grant := grantFrom(r)
-	if grant != nil && !grant.CanAppend() {
-		s.forbidRole(w, &s.auth.AppendRejects, grant, "append")
+	// The role is checked before the body is read: an identity that
+	// cannot write is owed no parsing.
+	if !s.admit(w, r, nil) {
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -192,97 +232,77 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, fmt.Errorf("reading body: %w", err))
 		return
 	}
-	if t := bytes.TrimLeft(body, " \t\r\n"); len(t) > 0 && t[0] == '[' {
-		s.appendBatch(w, grant, t)
-		return
-	}
-	var dto ActionDTO
-	if err := json.Unmarshal(body, &dto); err != nil {
-		s.clientError(w, fmt.Errorf("decoding action: %w", err))
-		return
-	}
-	a, err := dto.action()
+	acts, batch, err := parseActions(body)
 	if err != nil {
 		s.clientError(w, err)
 		return
 	}
-	if grant != nil && !grant.AllowsPrincipal(a.Principal) {
-		s.forbidPrincipal(w, grant, a.Principal)
+	if !s.admit(w, r, acts) {
 		return
 	}
-	if s.forbidNotOwned(w, a.Principal) {
-		return
-	}
-	seq, err := s.store.Append(a)
+	resp, err := s.backend.appendActions(acts, batch)
 	if err != nil {
 		s.appendError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, AppendResponse{Seq: seq})
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// forbidPrincipal writes the 403 for a batch claiming a principal
-// outside the grant.
-func (s *Server) forbidPrincipal(w http.ResponseWriter, grant *auth.Grant, principal string) {
-	s.auth.AppendRejects.Add(1)
-	s.writeJSON(w, http.StatusForbidden, map[string]string{
-		"error": fmt.Sprintf("identity %q may not append as principal %q", grant.Name, principal),
-	})
-}
-
-// appendBatch is the batch arm of /append: all actions are appended in
-// body order under one lock round and receive a contiguous block of
-// sequence numbers starting at the returned seq. The whole batch must
-// be within the grant's principal set — rejecting it entire keeps the
-// "error means none appended" contract the binary surface gives.
-func (s *Server) appendBatch(w http.ResponseWriter, grant *auth.Grant, body []byte) {
+// parseActions decodes an /append body: one action object, or a
+// nonempty JSON array of them (batch).
+func parseActions(body []byte) (acts []logs.Action, batch bool, err error) {
 	var dtos []ActionDTO
-	if err := json.Unmarshal(body, &dtos); err != nil {
-		s.clientError(w, fmt.Errorf("decoding action batch: %w", err))
-		return
+	if t := bytes.TrimLeft(body, " \t\r\n"); len(t) > 0 && t[0] == '[' {
+		batch = true
+		if err := json.Unmarshal(t, &dtos); err != nil {
+			return nil, false, fmt.Errorf("decoding action batch: %w", err)
+		}
+		if len(dtos) == 0 {
+			return nil, false, fmt.Errorf("empty action batch")
+		}
+	} else {
+		dtos = make([]ActionDTO, 1)
+		if err := json.Unmarshal(body, &dtos[0]); err != nil {
+			return nil, false, fmt.Errorf("decoding action: %w", err)
+		}
 	}
-	if len(dtos) == 0 {
-		s.clientError(w, fmt.Errorf("empty action batch"))
-		return
-	}
-	acts := make([]logs.Action, len(dtos))
+	acts = make([]logs.Action, len(dtos))
 	for i, dto := range dtos {
-		a, err := dto.action()
-		if err != nil {
-			s.clientError(w, fmt.Errorf("action %d: %w", i, err))
-			return
+		if acts[i], err = dto.action(); err != nil {
+			if batch {
+				err = fmt.Errorf("action %d: %w", i, err)
+			}
+			return nil, false, err
 		}
-		if grant != nil && !grant.AllowsPrincipal(a.Principal) {
-			s.forbidPrincipal(w, grant, a.Principal)
-			return
-		}
-		if s.forbidNotOwned(w, a.Principal) {
-			return
-		}
-		acts[i] = a
 	}
-	base, err := s.store.AppendBatch(acts)
-	if err != nil {
-		s.appendError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, BatchAppendResponse{Seq: base, Count: len(acts)})
+	return acts, batch, nil
 }
 
-// appendError maps a store append failure to its HTTP status.
+// upstreamError marks a failure between this process and a partition
+// leader: a bad gateway, not a fault of this node or of the request.
+type upstreamError struct{ err error }
+
+func (e upstreamError) Error() string { return e.err.Error() }
+func (e upstreamError) Unwrap() error { return e.err }
+
+// appendError maps an append failure to its HTTP status. A store's
+// up-front rejections keep their status whether the store is local or a
+// partition leader's (internal/cluster recovers the sentinels).
 func (s *Server) appendError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, store.ErrInvalidAction):
 		s.clientError(w, err)
-	case errors.Is(err, store.ErrShardLimit):
-		s.writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
+	case errors.Is(err, store.ErrShardCap):
+		writeError(w, http.StatusTooManyRequests, err)
+	case errors.As(err, new(upstreamError)):
+		writeError(w, http.StatusBadGateway, err)
 	default:
-		s.writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		writeError(w, http.StatusInternalServerError, err)
 	}
 }
 
-// recordDTOs converts an engine page (already redacted for its
-// observer) to the JSON shape.
+// recordDTOs converts a page (already redacted for its observer) to the
+// JSON shape.
 func recordDTOs(recs []wire.Record) []RecordDTO {
 	dtos := make([]RecordDTO, len(recs))
 	for i, r := range recs {
@@ -291,12 +311,11 @@ func recordDTOs(recs []wire.Record) []RecordDTO {
 	return dtos
 }
 
-// logQuery assembles the engine query shared by /log and
-// /log/{principal} from the URL: ?observer=, ?limit= (page size,
-// default 10000), ?cursor= (resume a walk), ?chan= / ?kind= (index
-// filters), ?from= (ascending walk from a sequence number; without it
-// the page is the most recent records, whose cursor pages backwards
-// through history).
+// logQuery assembles the query shared by /log and /log/{principal} from
+// the URL: ?observer=, ?limit= (page size, default 10000), ?cursor=
+// (resume a walk), ?chan= / ?kind= (index filters), ?from= (ascending
+// walk from a sequence number; without it the page is the most recent
+// records, whose cursor pages backwards through history).
 func logQuery(r *http.Request, principal string) (query.Query, error) {
 	v := r.URL.Query()
 	limit, err := query.ParseLimit(v.Get("limit"))
@@ -329,77 +348,13 @@ func logQuery(r *http.Request, principal string) (query.Query, error) {
 	return q, nil
 }
 
-// serveLog runs the query and writes the LogResponse; the error mapping
-// (denied shard → 403, bad cursor/query → 400) is shared by both log
-// endpoints.
-func (s *Server) serveLog(w http.ResponseWriter, q query.Query) {
-	// An explicit ?limit=0 is a probe: run a minimal query (so denial
-	// and cursor validation still apply) but serve no records.
-	probe := q.Limit == 0
-	if probe {
-		q.Limit = 1
-	}
-	page, err := s.engine.Run(q)
-	switch {
-	case errors.Is(err, query.ErrDenied):
-		s.writeJSON(w, http.StatusForbidden, map[string]string{
-			"error": fmt.Sprintf("principal %s does not disclose its log to %q", q.Principal, q.Observer),
-		})
-		return
-	case err != nil:
-		s.clientError(w, err)
-		return
-	}
-	if probe {
-		page.Records, page.Cursor = nil, ""
-	}
-	s.writeJSON(w, http.StatusOK, LogResponse{
-		Principal: q.Principal,
-		Observer:  q.Observer,
-		Records:   recordDTOs(page.Records),
-		Log:       query.SpineString(page.Records),
-		Cursor:    page.Cursor,
-	})
-}
-
-// handleGlobalLog serves the recovered monitor log through the query
-// engine: redacted for ?observer=, filtered by ?chan=/?kind=, paginated
-// by ?limit= and ?cursor= (?from= walks forward instead).
-func (s *Server) handleGlobalLog(w http.ResponseWriter, r *http.Request) {
-	q, err := logQuery(r, "")
-	if err != nil {
-		s.clientError(w, err)
-		return
-	}
-	if !s.coerceRead(w, r, &q.Observer) {
-		return
-	}
-	s.serveLog(w, q)
-}
-
-// coerceRead gates a read on the grant's read role and pins its
-// observer to the grant — whatever view the caller asked for (including
-// the full, unredacted "" view), it reads as the observer its identity
-// maps to; replica-role grants pass through. Reports whether the read
-// may proceed.
-func (s *Server) coerceRead(w http.ResponseWriter, r *http.Request, observer *string) bool {
-	grant := grantFrom(r)
-	if grant == nil {
-		return true
-	}
-	if !grant.CanRead() {
-		s.forbidRole(w, &s.auth.QueryRejects, grant, "read")
-		return false
-	}
-	*observer = grant.CoerceObserver(*observer)
-	return true
-}
-
-// handleShardLog serves one principal's shard through the query engine.
-// A shard query is keyed by the acting principal, so masking the
-// records would still disclose who acted: the engine denies the whole
-// shard to observers the principal hides from.
-func (s *Server) handleShardLog(w http.ResponseWriter, r *http.Request) {
+// handleLog serves the global log (/log) or one principal's shard
+// (/log/{principal}): redacted for ?observer=, filtered by
+// ?chan=/?kind=, paginated by ?limit= and ?cursor= (?from= walks forward
+// instead). A shard query is keyed by the acting principal, so masking
+// its records would still disclose who acted: the whole shard is denied
+// to observers the principal hides from.
+func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	q, err := logQuery(r, r.PathValue("principal"))
 	if err != nil {
 		s.clientError(w, err)
@@ -411,9 +366,41 @@ func (s *Server) handleShardLog(w http.ResponseWriter, r *http.Request) {
 	s.serveLog(w, q)
 }
 
-// handleAudit runs the server-side Definition-3 correctness check: does
-// the stored global log justify the claim V:κ? The provenance echoed
-// back is the observer's redacted view.
+// serveLog runs the query and writes the LogResponse, mapping a denied
+// shard to 403 and a bad cursor or query to 400.
+func (s *Server) serveLog(w http.ResponseWriter, q query.Query) {
+	// An explicit ?limit=0 is a probe: run a minimal query (so denial
+	// and cursor validation still apply) but serve no records.
+	probe := q.Limit == 0
+	if probe {
+		q.Limit = 1
+	}
+	page, err := s.backend.Run(q)
+	switch {
+	case errors.Is(err, query.ErrDenied):
+		writeError(w, http.StatusForbidden, fmt.Errorf("principal %s does not disclose its log to %q", q.Principal, q.Observer))
+		return
+	case err != nil:
+		s.clientError(w, err)
+		return
+	}
+	if probe {
+		page.Records, page.Cursor = nil, ""
+	}
+	writeJSON(w, http.StatusOK, LogResponse{
+		Principal: q.Principal,
+		Observer:  q.Observer,
+		Records:   recordDTOs(page.Records),
+		Log:       query.SpineString(page.Records),
+		Cursor:    page.Cursor,
+	})
+}
+
+// handleAudit runs the Definition-3 correctness check: does the log
+// justify the claim V:κ? The provenance echoed back is the observer's
+// redacted view, and the observer is the caller's grant's — coerced
+// here, before any backend sees the request, so a fleet's proxied audit
+// cannot be asked for another observer's view.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	var req AuditRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
@@ -424,16 +411,14 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, fmt.Errorf("audit needs a value"))
 		return
 	}
-	if grant := grantFrom(r); grant != nil {
-		if !grant.CanRead() {
-			s.forbidRole(w, &s.auth.QueryRejects, grant, "read")
-			return
-		}
-		// An empty observer asks for no provenance echo at all — nothing
-		// to coerce; a named one is pinned to the grant's view.
-		if req.Observer != "" {
-			req.Observer = grant.CoerceObserver(req.Observer)
-		}
+	observer := req.Observer
+	if !s.coerceRead(w, r, &observer) {
+		return
+	}
+	// An empty observer asks for no provenance echo at all — nothing to
+	// coerce; a named one is pinned to the grant's view.
+	if req.Observer != "" {
+		req.Observer = observer
 	}
 	k, err := provOf(req.Prov, 0)
 	if err != nil {
@@ -444,49 +429,33 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if req.Value == "?" {
 		term = logs.UnknownT()
 	}
-	resp := AuditResponse{Correct: true}
-	if err := s.engine.AuditTerm(term, k); err != nil {
-		resp.Correct = false
-		resp.Detail = err.Error()
-	}
-	if req.Observer != "" {
-		resp.ProvView = eventDTOs(s.engine.ViewProv(k, req.Observer))
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.backend.audit(w, req, term, k)
 }
+
+// errNoStore is a fleet's answer to /compact.
+var errNoStore = errors.New("a coordinator holds no store; POST /compact to each partition leader")
 
 // handleCompact compacts one shard (?principal=name) or all shards.
+// Compaction rewrites the log: a write-class operation, admitted like an
+// append.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if s.replica != nil {
-		// Compaction rewrites segments; on a replica the Replicator is
-		// the store's only writer, so route it to the leader too.
-		s.rejectWrite(w, r)
+	if s.backend.refuseWrite(w, r) || !s.admit(w, r, nil) {
 		return
 	}
-	if grant := grantFrom(r); grant != nil && !grant.CanAppend() {
-		// Compaction rewrites the log: a write-class operation.
-		s.forbidRole(w, &s.auth.AppendRejects, grant, "append")
-		return
+	switch err := s.backend.compact(r.URL.Query().Get("principal")); {
+	case errors.Is(err, errNoStore):
+		writeError(w, http.StatusMisdirectedRequest, err)
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, err)
+	default:
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}
-	principal := r.URL.Query().Get("principal")
-	var err error
-	if principal == "" {
-		err = s.store.CompactAll()
-	} else {
-		err = s.store.Compact(principal)
-	}
-	if err != nil {
-		s.writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handlePrincipals lists known shards through the engine's counts
-// snapshot, omitting principals that hide from the requesting
-// observer — the same existence fact the shard endpoint's 403
-// protects. Without pagination parameters the response is the
-// historical bare JSON array; ?limit= (or ?cursor=) switches to a
+// handlePrincipals lists known shards, omitting principals that hide
+// from the requesting observer — the same existence fact the shard
+// endpoint's 403 protects. Without pagination parameters the response is
+// the historical bare JSON array; ?limit= (or ?cursor=) switches to a
 // paginated object carrying per-principal record counts and a resume
 // cursor.
 func (s *Server) handlePrincipals(w http.ResponseWriter, r *http.Request) {
@@ -495,13 +464,17 @@ func (s *Server) handlePrincipals(w http.ResponseWriter, r *http.Request) {
 	if !s.coerceRead(w, r, &observer) {
 		return
 	}
-	visible := s.engine.VisibleCounts(observer).Principals
+	visible, err := s.backend.principals(observer)
+	if err != nil {
+		writeError(w, http.StatusBadGateway, err)
+		return
+	}
 	if v.Get("limit") == "" && v.Get("cursor") == "" {
 		ps := make([]string, len(visible))
 		for i, pc := range visible {
 			ps[i] = pc.Principal
 		}
-		s.writeJSON(w, http.StatusOK, ps)
+		writeJSON(w, http.StatusOK, ps)
 		return
 	}
 	limit, err := query.ParseLimit(v.Get("limit"))
@@ -523,17 +496,12 @@ func (s *Server) handlePrincipals(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, fmt.Errorf("%w: unrecognised principals cursor", query.ErrBadCursor))
 		return
 	}
-	resp := PrincipalsResponse{Principals: make([]PrincipalDTO, 0, min(limit, len(visible)))}
-	for _, pc := range visible {
-		if len(resp.Principals) >= limit {
-			if len(resp.Principals) > 0 {
-				resp.Cursor = encodePrincipalCursor(resp.Principals[len(resp.Principals)-1].Principal)
-			}
-			break
-		}
-		resp.Principals = append(resp.Principals, PrincipalDTO{Principal: pc.Principal, Records: pc.Records})
+	// Copied so that an empty page encodes as [], never null.
+	resp := PrincipalsResponse{Principals: append([]PrincipalDTO{}, visible[:min(limit, len(visible))]...)}
+	if len(visible) > limit {
+		resp.Cursor = encodePrincipalCursor(visible[limit-1].Principal)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // Principal-list cursors: the list is name-sorted, so "after this name"
@@ -554,86 +522,7 @@ func decodePrincipalCursor(s string) (string, bool) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := map[string]any{
-		"status":   "ok",
-		"role":     "leader",
-		"next_seq": s.store.NextSeq(),
-		"uptime_s": time.Since(s.started).Seconds(),
-	}
-	if s.replica != nil {
-		s.replicaHealth(h)
-	}
-	s.writeJSON(w, http.StatusOK, h)
-}
-
-// handleMetrics exposes store, engine and server counters in the
-// conventional one-gauge-per-line text form. Store sizes come from the
-// engine's lock-free Counts snapshot, so scraping never touches the
-// append path's stripe locks.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.store.Stats()
-	qs := s.engine.Stats()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "provd_http_requests_total %d\n", s.requests.Load())
-	fmt.Fprintf(w, "provd_http_bad_requests_total %d\n", s.badReqs.Load())
-	fmt.Fprintf(w, "provd_redactions_total %d\n", qs.Redactions+qs.Denials)
-	fmt.Fprintf(w, "provd_query_pages_total %d\n", qs.Queries)
-	fmt.Fprintf(w, "provd_query_records_total %d\n", qs.Records)
-	fmt.Fprintf(w, "provd_query_denials_total %d\n", qs.Denials)
-	fmt.Fprintf(w, "provd_query_bad_cursors_total %d\n", qs.BadCursors)
-	fmt.Fprintf(w, "provd_uptime_seconds %.3f\n", time.Since(s.started).Seconds())
-	fmt.Fprintf(w, "provd_store_appends_total %d\n", st.Appends)
-	fmt.Fprintf(w, "provd_store_batch_appends_total %d\n", st.BatchAppends)
-	fmt.Fprintf(w, "provd_store_appended_bytes_total %d\n", st.AppendedBytes)
-	fmt.Fprintf(w, "provd_store_rotations_total %d\n", st.Rotations)
-	fmt.Fprintf(w, "provd_store_compactions_total %d\n", st.Compactions)
-	fmt.Fprintf(w, "provd_store_audits_total %d\n", st.Audits)
-	fmt.Fprintf(w, "provd_store_audit_failures_total %d\n", st.AuditFailures)
-	fmt.Fprintf(w, "provd_store_recovered_records_total %d\n", st.RecoveredRecords)
-	fmt.Fprintf(w, "provd_store_truncated_bytes_total %d\n", st.TruncatedBytes)
-	fmt.Fprintf(w, "provd_store_shard_cap_rejects_total %d\n", st.ShardCapRejects)
-	fmt.Fprintf(w, "provd_store_principals %d\n", st.Principals)
-	fmt.Fprintf(w, "provd_store_records %d\n", st.Records)
-	fmt.Fprintf(w, "provd_store_sessions %d\n", st.Sessions)
-	fmt.Fprintf(w, "provd_store_session_entries %d\n", st.SessionEntries)
-	fmt.Fprintf(w, "provd_store_session_compactions_total %d\n", st.SessionCompactions)
-	fmt.Fprintf(w, "provd_store_sessions_evicted_total %d\n", st.SessionsEvicted)
-	fmt.Fprintf(w, "provd_store_next_seq %d\n", st.NextSeq)
-	if s.ingest != nil {
-		in := s.ingest.Stats()
-		fmt.Fprintf(w, "provd_ingest_connections_total %d\n", in.Accepted)
-		fmt.Fprintf(w, "provd_ingest_connections_active %d\n", in.Active)
-		fmt.Fprintf(w, "provd_ingest_requests_total %d\n", in.Requests)
-		fmt.Fprintf(w, "provd_ingest_records_total %d\n", in.Records)
-		fmt.Fprintf(w, "provd_ingest_commits_total %d\n", in.Commits)
-		fmt.Fprintf(w, "provd_ingest_rejects_total %d\n", in.Rejects)
-		fmt.Fprintf(w, "provd_ingest_conn_failures_total %d\n", in.ConnFails)
-		fmt.Fprintf(w, "provd_ingest_sessions_total %d\n", in.Sessions)
-		fmt.Fprintf(w, "provd_ingest_dedup_replays_total %d\n", in.DedupReplays)
-		fmt.Fprintf(w, "provd_ingest_dedup_records_total %d\n", in.DedupRecords)
-		fmt.Fprintf(w, "provd_ingest_dedup_evicted_total %d\n", in.DedupEvicted)
-		fmt.Fprintf(w, "provd_ingest_dedup_checkpoint_failures_total %d\n", in.CheckpointFails)
-		fmt.Fprintf(w, "provd_ingest_queries_total %d\n", in.Queries)
-		fmt.Fprintf(w, "provd_ingest_query_records_total %d\n", in.QueryRecords)
-		fmt.Fprintf(w, "provd_ingest_follows_total %d\n", in.Follows)
-		fmt.Fprintf(w, "provd_ingest_query_rejects_total %d\n", in.QueryRejects)
-		fmt.Fprintf(w, "provd_ingest_snapshots_total %d\n", in.Snapshots)
-		fmt.Fprintf(w, "provd_ingest_snapshot_records_total %d\n", in.SnapshotRecords)
-		fmt.Fprintf(w, "provd_ingest_parked_conns %d\n", in.Parked)
-		fmt.Fprintf(w, "provd_ingest_parks_total %d\n", in.Parks)
-		fmt.Fprintf(w, "provd_ingest_wakes_total %d\n", in.Wakes)
-	}
-	ps := wire.PoolStats()
-	fmt.Fprintf(w, "provd_wire_pool_hits_total %d\n", ps.Hits)
-	fmt.Fprintf(w, "provd_wire_pool_misses_total %d\n", ps.Misses)
-	fmt.Fprintf(w, "provd_wire_pool_returns_total %d\n", ps.Returns)
-	if s.auth != nil {
-		fmt.Fprintf(w, "provd_auth_conn_rejects_total %d\n", s.auth.ConnRejects.Load())
-		fmt.Fprintf(w, "provd_auth_append_rejects_total %d\n", s.auth.AppendRejects.Load())
-		fmt.Fprintf(w, "provd_auth_query_rejects_total %d\n", s.auth.QueryRejects.Load())
-		fmt.Fprintf(w, "provd_auth_snapshot_rejects_total %d\n", s.auth.SnapshotRejects.Load())
-	}
-	if s.replica != nil {
-		s.replicaMetrics(w)
-	}
+	h := map[string]any{"status": "ok", "uptime_s": time.Since(s.started).Seconds()}
+	s.backend.health(h)
+	writeJSON(w, http.StatusOK, h)
 }

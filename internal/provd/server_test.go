@@ -224,57 +224,6 @@ func TestServerAppendQueryRedaction(t *testing.T) {
 	}
 }
 
-// TestServerAuditObserverView: the audit response echoes the observer's
-// redacted view of the claimed provenance.
-func TestServerAuditObserverView(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	policy := trust.NewDisclosurePolicy().HideFrom("s")
-	ts := httptest.NewServer(NewServer(st, policy))
-	defer ts.Close()
-
-	// Log: a sends v on m, s receives and re-sends, c receives.
-	for _, a := range []ActionDTO{
-		{Principal: "a", Kind: "snd", A: TermDTO{Name: "m"}, B: TermDTO{Name: "v"}},
-		{Principal: "s", Kind: "rcv", A: TermDTO{Name: "m"}, B: TermDTO{Name: "v"}},
-		{Principal: "s", Kind: "snd", A: TermDTO{Name: "n"}, B: TermDTO{Name: "v"}},
-		{Principal: "c", Kind: "rcv", A: TermDTO{Name: "n"}, B: TermDTO{Name: "v"}},
-	} {
-		if code := postJSON(t, ts, "/append", a, nil); code != http.StatusOK {
-			t.Fatalf("/append status %d", code)
-		}
-	}
-	req := AuditRequest{
-		Value: "v",
-		Prov: []EventDTO{
-			{Principal: "c", Dir: "?"},
-			{Principal: "s", Dir: "!"},
-			{Principal: "s", Dir: "?"},
-			{Principal: "a", Dir: "!"},
-		},
-		Observer: "c",
-	}
-	var ar AuditResponse
-	postJSON(t, ts, "/audit", req, &ar)
-	if !ar.Correct {
-		t.Fatalf("genuine chain rejected: %s", ar.Detail)
-	}
-	if len(ar.ProvView) != 4 {
-		t.Fatalf("prov view has %d events, want 4 (redaction must not shorten history)", len(ar.ProvView))
-	}
-	for i, e := range ar.ProvView {
-		if (i == 1 || i == 2) && e.Principal != trust.RedactedPrincipal {
-			t.Fatalf("event %d not redacted for observer c: %+v", i, e)
-		}
-		if (i == 0 || i == 3) && e.Principal == trust.RedactedPrincipal {
-			t.Fatalf("event %d over-redacted: %+v", i, e)
-		}
-	}
-}
-
 // TestServerConcurrentBatchAppendRestartParity: the daemon ingests
 // concurrent batched /append traffic (the remote-mirror fast path),
 // then is "restarted" — store closed and recovered purely from segment

@@ -71,7 +71,7 @@ func BenchmarkStoreQueryFiltered(b *testing.B) {
 		b.Run(fmt.Sprintf("fullscan/base%d", base), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var out []wire.Record
-				for _, r := range st.GlobalRecords() {
+				for _, r := range st.ScanGlobalTail(0, -1) {
 					if (r.Act.Kind == logs.Snd || r.Act.Kind == logs.Rcv) && r.Act.A.Name == "rare" {
 						out = append(out, r)
 					}

@@ -146,7 +146,7 @@ func TestFilteredWalkStabilityUnderConcurrentAppends(t *testing.T) {
 	wg.Wait()
 
 	var want []wire.Record
-	for _, r := range st.GlobalRecords() {
+	for _, r := range st.ScanGlobalTail(0, -1) {
 		if r.Seq >= snap {
 			break
 		}

@@ -76,9 +76,9 @@ func walk(t *testing.T, e *Engine, q Query) []wire.Record {
 	}
 }
 
-// TestRunMatchesLegacyMethods: the engine's single-shard and global
-// plans agree with the deprecated Store query methods they replace.
-func TestRunMatchesLegacyMethods(t *testing.T) {
+// TestRunMatchesScans: the engine's single-shard and global plans agree
+// with the store's scan primitives called directly.
+func TestRunMatchesScans(t *testing.T) {
 	st := openStore(t)
 	fill(t, st, 3, 200)
 	e := NewEngine(st, nil)
@@ -88,12 +88,12 @@ func TestRunMatchesLegacyMethods(t *testing.T) {
 		q    Query
 		want []wire.Record
 	}{
-		{"shard tail", Query{Principal: "p1", Tail: true, Limit: 10}, st.RecordsTail("p1", 10)},
-		{"shard all", Query{Principal: "p1", Limit: 1000}, st.Records("p1")},
-		{"chan tail", Query{Principal: "p0", Channel: "c0", Tail: true, Limit: 5}, st.ByChannelTail("p0", "c0", 5)},
-		{"kind tail", Query{Principal: "p2", Kind: logs.IfT, KindSet: true, Tail: true, Limit: 7}, st.ByKindTail("p2", logs.IfT, 7)},
-		{"global tail", Query{Tail: true, Limit: 25}, st.TailRecords(25)},
-		{"global all", Query{Limit: 1000}, st.GlobalRecords()},
+		{"shard tail", Query{Principal: "p1", Tail: true, Limit: 10}, st.ScanShardTail("p1", store.Filter{}, 0, 10)},
+		{"shard all", Query{Principal: "p1", Limit: 1000}, st.ScanShardTail("p1", store.Filter{}, 0, -1)},
+		{"chan tail", Query{Principal: "p0", Channel: "c0", Tail: true, Limit: 5}, st.ScanShardTail("p0", store.Filter{Channel: "c0"}, 0, 5)},
+		{"kind tail", Query{Principal: "p2", Kind: logs.IfT, KindSet: true, Tail: true, Limit: 7}, st.ScanShardTail("p2", store.Filter{Kind: logs.IfT, KindSet: true}, 0, 7)},
+		{"global tail", Query{Tail: true, Limit: 25}, st.ScanGlobalTail(0, 25)},
+		{"global all", Query{Limit: 1000}, st.ScanGlobalTail(0, -1)},
 	}
 	for _, c := range cases {
 		page, err := e.Run(c.q)
@@ -101,7 +101,7 @@ func TestRunMatchesLegacyMethods(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if !reflect.DeepEqual(page.Records, c.want) {
-			t.Fatalf("%s: engine %v, legacy %v", c.name, seqs(page.Records), seqs(c.want))
+			t.Fatalf("%s: engine %v, scan %v", c.name, seqs(page.Records), seqs(c.want))
 		}
 	}
 }
@@ -114,13 +114,13 @@ func TestForwardPagination(t *testing.T) {
 	e := NewEngine(st, nil)
 
 	all := walk(t, e, Query{Limit: 10})
-	if !reflect.DeepEqual(all, st.GlobalRecords()) {
+	if !reflect.DeepEqual(all, st.ScanGlobalTail(0, -1)) {
 		t.Fatalf("forward walk reassembled %d records, store holds %d", len(all), st.Len())
 	}
 	// Filtered, multi-shard forward walk.
 	filtered := walk(t, e, Query{Channel: "c1", Limit: 7})
 	var want []wire.Record
-	for _, r := range st.GlobalRecords() {
+	for _, r := range st.ScanGlobalTail(0, -1) {
 		if (r.Act.Kind == logs.Snd || r.Act.Kind == logs.Rcv) && r.Act.A.Name == "c1" {
 			want = append(want, r)
 		}
@@ -158,12 +158,12 @@ func TestTailBackwardPagination(t *testing.T) {
 	for i := len(pages) - 1; i >= 0; i-- {
 		all = append(all, pages[i]...)
 	}
-	if !reflect.DeepEqual(all, st.GlobalRecords()) {
+	if !reflect.DeepEqual(all, st.ScanGlobalTail(0, -1)) {
 		t.Fatalf("backward walk lost records: got %d, want %d", len(all), st.Len())
 	}
-	// First page is the newest records, like the legacy tail.
-	if !reflect.DeepEqual(pages[0], st.TailRecords(10)) {
-		t.Fatalf("first tail page %v, want %v", seqs(pages[0]), seqs(st.TailRecords(10)))
+	// First page is the newest records.
+	if !reflect.DeepEqual(pages[0], st.ScanGlobalTail(0, 10)) {
+		t.Fatalf("first tail page %v, want %v", seqs(pages[0]), seqs(st.ScanGlobalTail(0, 10)))
 	}
 }
 
@@ -277,7 +277,7 @@ func TestFollower(t *testing.T) {
 		}
 		got = append(got, recs...)
 	}
-	if !reflect.DeepEqual(got, st.GlobalRecords()) {
+	if !reflect.DeepEqual(got, st.ScanGlobalTail(0, -1)) {
 		t.Fatalf("follower history %v", seqs(got))
 	}
 

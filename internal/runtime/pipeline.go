@@ -74,7 +74,7 @@ const DefaultSinkQueue = 4096
 // the sink cannot represent detaches the mirror like any other failure
 // (store.Store documents its constraints as ErrInvalidAction), so
 // register principals the sink can store.
-func (n *Net) SetSink(s Sink) { n.setSink(s, DefaultSinkQueue, false) }
+func (n *Net) SetSink(s Sink) { n.setSink(s, DefaultSinkQueue) }
 
 // SetSinkBuffered is SetSink with an explicit pending-queue bound
 // (minimum 1): the network blocks once queue actions await the sink.
@@ -82,17 +82,10 @@ func (n *Net) SetSinkBuffered(s Sink, queue int) {
 	if queue < 1 {
 		queue = 1
 	}
-	n.setSink(s, queue, false)
+	n.setSink(s, queue)
 }
 
-// SetSinkSync installs a sink mirrored synchronously under the Net
-// mutex, the pre-pipeline behaviour: every Send/Recv blocks on the sink
-// write, and the sink is exactly up to date whenever the Net is
-// observable. Useful for tests that want deterministic mirroring and as
-// the baseline the pipeline benchmarks compare against.
-func (n *Net) SetSinkSync(s Sink) { n.setSink(s, 0, true) }
-
-func (n *Net) setSink(s Sink, queue int, sync bool) {
+func (n *Net) setSink(s Sink, queue int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	// Drain the previous pipeline before swapping: the old sink must end
@@ -110,9 +103,8 @@ func (n *Net) setSink(s Sink, queue int, sync bool) {
 	n.draining--
 	n.sink = s
 	n.sinkErr = nil
-	n.syncMirror = sync
 	n.maxPend = queue
-	if s != nil && !sync && !n.closed && n.flusherDone == nil {
+	if s != nil && !n.closed && n.flusherDone == nil {
 		n.flusherDone = make(chan struct{})
 		go n.flusher(n.flusherDone)
 	}
@@ -157,23 +149,11 @@ func (n *Net) SinkErr() error {
 
 // enqueueSinkLocked hands one just-logged action to the mirror; callers
 // hold the Net mutex and have already appended the action to n.log, so
-// the pending queue order is the log order. In sync mode the sink write
-// happens inline, preserving the original semantics; the first failure
-// detaches the sink either way.
+// the pending queue order is the log order.
 func (n *Net) enqueueSinkLocked(a logs.Action) {
 	if n.sink == nil || n.draining > 0 {
 		// No sink, or a SetSink swap in progress: the action is not
 		// mirrored (the unmirrored window setSink documents).
-		return
-	}
-	if n.syncMirror {
-		if err := n.sink.AppendAction(a); err != nil {
-			n.sinkErr = err
-			n.sink = nil
-			n.dropped++
-		} else {
-			n.mirrored++
-		}
 		return
 	}
 	n.pend = append(n.pend, a)
@@ -185,10 +165,10 @@ func (n *Net) enqueueSinkLocked(a logs.Action) {
 }
 
 // sinkFullLocked reports whether the pipeline is exerting backpressure:
-// an async sink is installed, no swap is in progress, and the pending
+// a sink is installed, no swap is in progress, and the pending
 // queue is at its bound.
 func (n *Net) sinkFullLocked() bool {
-	return n.sink != nil && !n.syncMirror && n.draining == 0 && len(n.pend) >= n.maxPend
+	return n.sink != nil && n.draining == 0 && len(n.pend) >= n.maxPend
 }
 
 // waitSinkSpaceLocked blocks while the pipeline's pending queue is

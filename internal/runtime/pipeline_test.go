@@ -372,28 +372,6 @@ func TestPipelineSinkFailureLatch(t *testing.T) {
 	}
 }
 
-// TestPipelineSetSinkSyncParity: the synchronous mirror mode preserves
-// the original inline semantics — the sink is exactly current whenever
-// the Net is observable, no Flush needed.
-func TestPipelineSetSinkSyncParity(t *testing.T) {
-	n := NewNet()
-	defer n.Close()
-	sink := &batchMemSink{}
-	n.SetSinkSync(sink)
-	nd := n.Register("p")
-	for i := 0; i < 10; i++ {
-		if err := nd.Send(syntax.Fresh(syntax.Chan("m")), syntax.Fresh(syntax.Chan("v"))); err != nil {
-			t.Fatal(err)
-		}
-		if got := len(sink.snapshot()); got != i+1 {
-			t.Fatalf("sync mirror holds %d actions after %d sends", got, i+1)
-		}
-	}
-	if !logs.Equal(logs.Spine(sink.snapshot()), n.Log()) {
-		t.Fatal("sync mirror order differs from the log")
-	}
-}
-
 // TestPipelineRecvTimeoutUnderBackpressure: with the sink stalled and
 // the queue full, a receive with a finite timeout must return
 // ErrTimeout instead of hanging in the backpressure gate forever.

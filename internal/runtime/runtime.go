@@ -99,11 +99,9 @@ type Net struct {
 	faults *Faults
 	// sink, when non-nil, receives a copy of every logged action (e.g. a
 	// durable store.Store); sinkErr latches the first mirror failure.
-	// Mirroring runs through the ordered async pipeline (pipeline.go)
-	// unless syncMirror is set.
-	sink       Sink
-	sinkErr    error
-	syncMirror bool
+	// Mirroring runs through the ordered async pipeline (pipeline.go).
+	sink    Sink
+	sinkErr error
 	// pend holds actions logged but not yet handed to the sink, in log
 	// order; maxPend bounds it (backpressure). inflight counts the
 	// actions of the batch the flusher currently holds, mirrored counts
@@ -126,10 +124,9 @@ type Net struct {
 // Sink receives every action appended to the global monitor log, in log
 // order. A durable implementation (such as internal/store, in process,
 // or internal/provclient mirroring to a remote provd over the binary
-// ingest protocol) makes the monitored run replayable after a restart. With SetSink the pipeline
+// ingest protocol) makes the monitored run replayable after a restart. The pipeline
 // calls the sink from a dedicated goroutine outside the middleware lock
-// (see pipeline.go for the ordering/backpressure contract); with
-// SetSinkSync it is called under the lock and throttles every Send/Recv.
+// (see pipeline.go for the ordering/backpressure contract).
 // Mirror into a store opened without Options.Fsync (batch durability via
 // Sync) unless per-batch durability is worth the fsync latency. An
 // action the sink cannot represent detaches the mirror like any other

@@ -10,14 +10,6 @@ import (
 	"repro/internal/wire"
 )
 
-// Legacy query surface. These methods predate the scan primitives
-// (scan.go) and the typed query engine (internal/query) and survive as
-// thin wrappers so existing callers and tests keep working.
-//
-// Deprecated: new code should go through internal/query (for paginated,
-// redacted, cursor-stable result sets) or the Scan* primitives (for raw
-// bounded reads).
-
 // Principals returns the principals with at least one shard, sorted.
 func (s *Store) Principals() []string {
 	out := s.PrincipalsUnsorted()
@@ -49,51 +41,6 @@ func (s *Store) Len() int {
 	}
 	s.mu.RUnlock()
 	return n
-}
-
-// Records returns a copy of one principal's records in sequence order.
-//
-// Deprecated: use ScanShard / internal/query.
-func (s *Store) Records(principal string) []wire.Record {
-	return s.RecordsTail(principal, -1)
-}
-
-// RecordsTail returns a copy of the n most recent records of one
-// principal (all of them when n is negative).
-//
-// Deprecated: use ScanShardTail / internal/query.
-func (s *Store) RecordsTail(principal string, n int) []wire.Record {
-	return s.ScanShardTail(principal, Filter{}, 0, n)
-}
-
-// ByChannel returns the principal's send/receive records on a channel, in
-// sequence order (served from the in-memory channel index).
-//
-// Deprecated: use ScanShard / internal/query.
-func (s *Store) ByChannel(principal, ch string) []wire.Record {
-	return s.ByChannelTail(principal, ch, -1)
-}
-
-// ByChannelTail is ByChannel capped to the n most recent matches.
-//
-// Deprecated: use ScanShardTail / internal/query.
-func (s *Store) ByChannelTail(principal, ch string, n int) []wire.Record {
-	return s.ScanShardTail(principal, Filter{Channel: ch}, 0, n)
-}
-
-// ByKind returns the principal's records of one action kind, in sequence
-// order (served from the in-memory kind index).
-//
-// Deprecated: use ScanShard / internal/query.
-func (s *Store) ByKind(principal string, k logs.ActKind) []wire.Record {
-	return s.ByKindTail(principal, k, -1)
-}
-
-// ByKindTail is ByKind capped to the n most recent matches.
-//
-// Deprecated: use ScanShardTail / internal/query.
-func (s *Store) ByKindTail(principal string, k logs.ActKind, n int) []wire.Record {
-	return s.ScanShardTail(principal, Filter{Kind: k, KindSet: true}, 0, n)
 }
 
 // globalSnapshot returns the merged cross-shard view (records oldest
@@ -158,23 +105,6 @@ func (s *Store) globalSnapshot() ([]wire.Record, logs.Log) {
 	g.log = g.b.Log()
 	g.upTo = target
 	return g.recs, g.log
-}
-
-// GlobalRecords merges every shard on sequence number, oldest first:
-// the durable image of the middleware's global monitor log.
-//
-// Deprecated: use ScanGlobal / internal/query.
-func (s *Store) GlobalRecords() []wire.Record {
-	return s.TailRecords(-1)
-}
-
-// TailRecords returns a copy of the n most recent records of the merged
-// global view (all of them when n is negative or exceeds the store
-// size), copying only the tail.
-//
-// Deprecated: use ScanGlobalTail / internal/query.
-func (s *Store) TailRecords(n int) []wire.Record {
-	return s.ScanGlobalTail(0, n)
 }
 
 // ShardLog returns one principal's actions as a log spine (most recent

@@ -14,8 +14,7 @@ import (
 // unlocks — so the lock hold and the copy are proportional to the
 // examined slice of the narrowest matching index (for single-dimension
 // filters, exactly the batch returned), never to the shard. The engine composes these into
-// paginated, cursor-stable result sets; the legacy Store query methods
-// (query.go) are thin wrappers over the same calls.
+// paginated, cursor-stable result sets.
 
 // Filter selects records within a shard scan. The zero Filter matches
 // everything.

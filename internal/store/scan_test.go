@@ -9,8 +9,8 @@ import (
 	"repro/internal/logs"
 )
 
-// TestScanPrimitives: windows, tails and filters agree with the legacy
-// whole-copy methods they underlie.
+// TestScanPrimitives: windows, tails and filters agree with the
+// unbounded scan of the same shard.
 func TestScanPrimitives(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -31,7 +31,7 @@ func TestScanPrimitives(t *testing.T) {
 		}
 	}
 
-	all := st.Records("p0")
+	all := st.ScanShardTail("p0", Filter{}, 0, -1)
 	if got := st.ScanShard("p0", Filter{}, 0, 0, -1); !reflect.DeepEqual(got, all) {
 		t.Fatalf("unbounded scan %v != records %v", got, all)
 	}
@@ -45,16 +45,20 @@ func TestScanPrimitives(t *testing.T) {
 	if got := st.ScanShard("p0", Filter{}, 0, 0, 3); len(got) != 3 || !reflect.DeepEqual(got, all[:3]) {
 		t.Fatalf("bounded scan %v", got)
 	}
-	// Tail matches the legacy tail.
-	if got := st.ScanShardTail("p0", Filter{}, 0, 5); !reflect.DeepEqual(got, st.RecordsTail("p0", 5)) {
-		t.Fatalf("tail %v != legacy %v", got, st.RecordsTail("p0", 5))
+	// The tail is the suffix of the full scan.
+	if got := st.ScanShardTail("p0", Filter{}, 0, 5); !reflect.DeepEqual(got, all[len(all)-5:]) {
+		t.Fatalf("tail %v != suffix %v", got, all[len(all)-5:])
 	}
-	// Channel and kind pushdown match the legacy index queries.
-	if got := st.ScanShardTail("p0", Filter{Channel: "c0"}, 0, -1); !reflect.DeepEqual(got, st.ByChannel("p0", "c0")) {
-		t.Fatalf("channel scan %v", got)
+	// Channel and kind pushdown return exactly the matching records.
+	for _, r := range st.ScanShardTail("p0", Filter{Channel: "c0"}, 0, -1) {
+		if r.Act.Kind != logs.Snd || r.Act.A.Name != "c0" {
+			t.Fatalf("channel scan leaked %+v", r)
+		}
 	}
-	if got := st.ScanShardTail("p1", Filter{Kind: logs.IfT, KindSet: true}, 0, -1); !reflect.DeepEqual(got, st.ByKind("p1", logs.IfT)) {
-		t.Fatalf("kind scan %v", got)
+	for _, r := range st.ScanShardTail("p1", Filter{Kind: logs.IfT, KindSet: true}, 0, -1) {
+		if r.Act.Kind != logs.IfT {
+			t.Fatalf("kind scan leaked %+v", r)
+		}
 	}
 	// Channel + kind composes (filter on top of the channel index).
 	for _, r := range st.ScanShard("p0", Filter{Channel: "c0", Kind: logs.Rcv, KindSet: true}, 0, 0, -1) {
@@ -71,22 +75,22 @@ func TestScanPrimitives(t *testing.T) {
 		t.Fatalf("chan+ift matched %v", got)
 	}
 	// Global scans agree with the merged view.
-	global := st.GlobalRecords()
+	global := st.ScanGlobalTail(0, -1)
 	if got := st.ScanGlobal(0, 0, -1); !reflect.DeepEqual(got, global) {
 		t.Fatal("global scan diverges from merge")
 	}
 	if got := st.ScanGlobal(5, 15, -1); len(got) != 10 || got[0].Seq != 5 {
 		t.Fatalf("global window %v", got)
 	}
-	if got := st.ScanGlobalTail(0, 7); !reflect.DeepEqual(got, st.TailRecords(7)) {
-		t.Fatal("global tail diverges from legacy")
+	if got := st.ScanGlobalTail(0, 7); !reflect.DeepEqual(got, global[len(global)-7:]) {
+		t.Fatal("global tail is not the suffix of the merge")
 	}
 	if got := st.ScanGlobalTail(20, 5); got[len(got)-1].Seq != 19 {
 		t.Fatalf("bounded global tail %v", got)
 	}
 }
 
-// TestCounts: the lock-free size snapshot agrees with the legacy
+// TestCounts: the lock-free size snapshot agrees with the locked
 // counters, per principal and in total.
 func TestCounts(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{})
@@ -108,7 +112,7 @@ func TestCounts(t *testing.T) {
 			t.Fatalf("principals %+v", c.Principals)
 		}
 		for _, pc := range c.Principals {
-			if want := len(st.Records(pc.Principal)); pc.Records != want {
+			if want := len(st.ScanShardTail(pc.Principal, Filter{}, 0, -1)); pc.Records != want {
 				t.Fatalf("%s counted %d, holds %d", pc.Principal, pc.Records, want)
 			}
 		}

@@ -22,7 +22,7 @@ import (
 func fullMerge(s *Store) ([]wire.Record, logs.Log) {
 	var all []wire.Record
 	for _, p := range s.Principals() {
-		all = append(all, s.Records(p)...)
+		all = append(all, s.ScanShardTail(p, Filter{}, 0, -1)...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
 	acts := make([]logs.Action, len(all))

@@ -258,7 +258,7 @@ func TestIndexes(t *testing.T) {
 	}
 	defer s.Close()
 	fill(t, s, 100)
-	recs := s.ByChannel("p0", "ch0")
+	recs := s.ScanShardTail("p0", Filter{Channel: "ch0"}, 0, -1)
 	if len(recs) == 0 {
 		t.Fatal("channel index empty")
 	}
@@ -273,7 +273,7 @@ func TestIndexes(t *testing.T) {
 		last = r.Seq
 	}
 	for _, k := range []logs.ActKind{logs.Snd, logs.Rcv, logs.IfT, logs.IfF} {
-		for _, r := range s.ByKind("p1", k) {
+		for _, r := range s.ScanShardTail("p1", Filter{Kind: k, KindSet: true}, 0, -1) {
 			if r.Act.Kind != k {
 				t.Fatalf("kind index %v returned %v", k, r.Act.Kind)
 			}
@@ -364,7 +364,7 @@ func TestConcurrentAppends(t *testing.T) {
 		t.Fatalf("stored %d records, want %d", got, workers*per)
 	}
 	seen := make(map[uint64]bool)
-	for _, r := range s.GlobalRecords() {
+	for _, r := range s.ScanGlobalTail(0, -1) {
 		if seen[r.Seq] {
 			t.Fatalf("duplicate seq %d", r.Seq)
 		}
