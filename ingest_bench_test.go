@@ -64,6 +64,37 @@ func BenchmarkIngestBinaryBatch(b *testing.B) {
 	b.ReportMetric(float64(ingestBatchSize), "records/op")
 }
 
+// BenchmarkProvclientAppendIdle is the latency floor of a single-action
+// Append: one producer, one Append at a time, so every call finds the
+// client idle and pays exactly one request round trip and one commit.
+// Anything the batcher adds on top of a one-action AppendBatch — a
+// linger, a hand-off — shows here as ns/op.
+func BenchmarkProvclientAppendIdle(b *testing.B) {
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	srv := ingest.NewServer(st, ingest.Options{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	c := provclient.New(addr, provclient.Options{Conns: 1})
+	defer c.Close()
+	if _, err := c.Append(benchAct(0, 0)); err != nil { // dial and handshake
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Append(benchAct(0, i%64)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkIngestHTTPAppend(b *testing.B) {
 	st, err := store.Open(b.TempDir(), store.Options{})
 	if err != nil {

@@ -6,11 +6,19 @@
 //
 // The client keeps a small pool of connections and pipelines requests
 // over each: many appends are in flight at once, matched to their acks
-// by request id. Single-action appends coalesce through a group-commit
-// batcher — the first append opens a batch, later ones join it, and the
-// batch ships when it reaches Options.MaxBatch or its flush deadline
-// (Options.FlushInterval) passes — so a chatty producer pays one
-// request per batch, not per action.
+// by request id. Single-action appends coalesce through an ack-clocked
+// group-commit batcher, the shape ingest's commit loop has on the
+// server: an Append that finds no group in flight ships at once; while
+// one is in flight, later Appends join the open group, which ships the
+// moment the in-flight one is acked (or at Options.MaxBatch, without
+// waiting). There is no timer: an idle producer pays one round trip and
+// nothing else, and under load the batch size follows the commit
+// latency — however many actions arrived during one commit ride the
+// next — so a chatty producer still pays one request per batch, not per
+// action. One group in flight, not one per pooled connection: the
+// server serialises commit rounds on the session table anyway, so a
+// second concurrent group would only halve the batch and double the
+// requests.
 //
 // Client implements runtime.Sink and runtime.BatchSink, so it can be
 // installed directly with Net.SetSink: the runtime's ordered async
@@ -42,6 +50,7 @@ import (
 	"crypto/tls"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,9 +80,6 @@ type Options struct {
 	// wire.MaxIngestBatch). Append's group batcher ships at this size;
 	// AppendBatch splits larger batches into chunks of it.
 	MaxBatch int
-	// FlushInterval is the group-commit deadline for Append (default
-	// 2ms): an open batch ships at the deadline even if not full.
-	FlushInterval time.Duration
 	// DialTimeout bounds connection establishment (default 5s).
 	DialTimeout time.Duration
 	// RequestTimeout bounds one request's wait for its ack (default
@@ -126,9 +132,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch > wire.MaxIngestBatch {
 		o.MaxBatch = wire.MaxIngestBatch
 	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 2 * time.Millisecond
-	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
 	}
@@ -143,8 +146,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// group is one open group-commit batch: every Append joining it waits
-// on done and then reads its own seq off base+its offset.
+// group is one group-commit batch: every Append joining it waits on
+// done and then reads its own seq off base+its offset.
 type group struct {
 	acts []logs.Action
 	done chan struct{}
@@ -169,8 +172,9 @@ type Client struct {
 	seeded atomic.Bool
 	floor  atomic.Uint64
 
-	mu     sync.Mutex // guards cur and closed
-	cur    *group
+	mu     sync.Mutex // guards cur, flight and closed
+	cur    *group     // the open group: joined by Appends, not yet shipped
+	flight []*group   // shipped, not yet acked
 	closed bool
 }
 
@@ -290,44 +294,53 @@ func (c *Client) Append(a logs.Action) (uint64, error) {
 	if g == nil {
 		g = &group{done: make(chan struct{})}
 		c.cur = g
-		// The group ships at the flush deadline unless MaxBatch ships
-		// it first.
-		time.AfterFunc(c.opts.FlushInterval, func() { c.ship(g) })
 	}
 	idx := len(g.acts)
 	g.acts = append(g.acts, a)
-	if len(g.acts) >= c.opts.MaxBatch {
-		c.shipLocked(g)
+	// The ack clock: with nothing in flight there is nothing to wait
+	// for; otherwise the in-flight group's ack ships this one, unless
+	// MaxBatch does first.
+	ship := len(c.flight) == 0 || len(g.acts) >= c.opts.MaxBatch
+	if ship {
+		c.detachLocked()
 	}
 	c.mu.Unlock()
 
-	<-g.done
+	if ship {
+		// On this goroutine: an idle Append is one request round trip,
+		// with no hand-off to pay for on the way out or back.
+		c.run(g)
+	} else {
+		<-g.done
+	}
 	if g.err != nil {
 		return 0, g.err
 	}
 	return g.base + uint64(idx), nil
 }
 
-// ship sends g if it is still the open group (deadline path).
-func (c *Client) ship(g *group) {
-	c.mu.Lock()
-	if c.cur != g {
-		c.mu.Unlock()
-		return
-	}
-	c.shipLocked(g)
-	c.mu.Unlock()
+// detachLocked moves the open group into flight, so that later Appends
+// open a new one; the caller holds c.mu and must run the group.
+func (c *Client) detachLocked() *group {
+	g := c.cur
+	c.cur = nil
+	c.flight = append(c.flight, g)
+	return g
 }
 
-// shipLocked detaches g and sends it asynchronously; the caller holds
-// c.mu. Sending off the caller's goroutine keeps Append's latency at
-// one request round trip and lets the next group fill meanwhile.
-func (c *Client) shipLocked(g *group) {
-	c.cur = nil
-	go func() {
-		g.base, g.err = c.send(g.acts)
-		close(g.done)
-	}()
+// run sends a detached group and resolves its members. When the answer
+// (an ack or a failure) leaves nothing in flight, whatever gathered in
+// the meantime ships next, on a goroutine of its own: the caller may be
+// an Append with its own result to return.
+func (c *Client) run(g *group) {
+	g.base, g.err = c.send(g.acts)
+	close(g.done)
+	c.mu.Lock()
+	c.flight = slices.DeleteFunc(c.flight, func(f *group) bool { return f == g })
+	if len(c.flight) == 0 && c.cur != nil {
+		go c.run(c.detachLocked())
+	}
+	c.mu.Unlock()
 }
 
 // AppendBatch appends a batch in order, returning the first assigned
@@ -427,25 +440,41 @@ func (c *Client) pick() *conn {
 	return c.conns[(c.rr.Add(1)-1)%uint64(len(c.conns))]
 }
 
-// Flush ships the open group batch, if any, and waits for its ack —
-// after a sequence of Appends from this goroutine, Flush returning nil
-// means they are all durable on the server.
+// Flush ships the open group, if any, and waits for it and for every
+// group shipped before it — Flush returning nil means every Append that
+// had joined a group by the time of the call is durable on the server.
 func (c *Client) Flush() error {
 	c.mu.Lock()
-	g := c.cur
-	if g != nil {
-		c.shipLocked(g)
-	}
+	shipped := c.flushLocked()
 	c.mu.Unlock()
-	if g == nil {
-		return nil
-	}
-	<-g.done
-	return g.err
+	return wait(shipped)
 }
 
-// Close flushes the open batch and tears down the pool. Further calls
-// return ErrClosed.
+// flushLocked ships the open group and returns everything now in
+// flight; the caller holds c.mu.
+func (c *Client) flushLocked() []*group {
+	if c.cur != nil {
+		go c.run(c.detachLocked())
+	}
+	return slices.Clone(c.flight)
+}
+
+// wait blocks until every group is resolved and returns the first
+// failure among them.
+func wait(groups []*group) error {
+	var err error
+	for _, g := range groups {
+		<-g.done
+		if err == nil {
+			err = g.err
+		}
+	}
+	return err
+}
+
+// Close flushes — every Append accepted before Close gets its answer
+// from the server, not from the teardown — and then closes the pool.
+// Further calls return ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -453,16 +482,9 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	g := c.cur
-	if g != nil {
-		c.shipLocked(g)
-	}
+	shipped := c.flushLocked()
 	c.mu.Unlock()
-	var err error
-	if g != nil {
-		<-g.done
-		err = g.err
-	}
+	err := wait(shipped)
 	for _, cn := range c.conns {
 		cn.close()
 	}

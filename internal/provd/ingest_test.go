@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/ingest"
 	"repro/internal/logs"
@@ -108,7 +107,7 @@ func TestIngestEndToEndParity(t *testing.T) {
 		wg.Add(1)
 		go func(wkr int) {
 			defer wg.Done()
-			c := provclient.New(addr, provclient.Options{Conns: 2, FlushInterval: time.Millisecond})
+			c := provclient.New(addr, provclient.Options{Conns: 2})
 			defer c.Close()
 			for b := 0; b < batchesPer; b++ {
 				if _, err := c.AppendBatch(chainActs(wkr, b)); err != nil {

@@ -88,6 +88,8 @@ func (b *localBackend) metrics(w io.Writer) {
 	fmt.Fprintf(w, "provd_store_recovered_records_total %d\n", st.RecoveredRecords)
 	fmt.Fprintf(w, "provd_store_truncated_bytes_total %d\n", st.TruncatedBytes)
 	fmt.Fprintf(w, "provd_store_shard_cap_rejects_total %d\n", st.ShardCapRejects)
+	fmt.Fprintf(w, "provd_store_sync_barriers_total %d\n", st.SyncBarriers)
+	fmt.Fprintf(w, "provd_store_segment_syncs_total %d\n", st.SegmentSyncs)
 	fmt.Fprintf(w, "provd_store_principals %d\n", st.Principals)
 	fmt.Fprintf(w, "provd_store_records %d\n", st.Records)
 	fmt.Fprintf(w, "provd_store_sessions %d\n", st.Sessions)

@@ -14,8 +14,8 @@ import (
 // contiguous). This is the sink-flush fast path: the runtime pipeline
 // drains whatever accumulated during the previous write and hands it
 // here, paying one acquisition of each touched stripe and (with
-// Options.Fsync) one fsync per touched segment instead of one of each
-// per action.
+// Options.Fsync) one durability barrier — the touched segments synced
+// together, see commitBarrier — instead of one of each per action.
 //
 // Ordering. Every stripe the batch touches is locked for the whole
 // batch, locks taken in index order (the same discipline as the global
@@ -79,7 +79,6 @@ func (s *Store) AppendBatch(acts []logs.Action) (uint64, error) {
 		return 0, ErrClosed
 	}
 	base := s.nextSeq.Add(uint64(len(acts))) - uint64(len(acts))
-	touched := make(map[*shard]struct{}, len(shards))
 	for i, a := range acts {
 		sh := shards[a.Principal]
 		r := wire.Record{Seq: base + uint64(i), Act: a}
@@ -95,18 +94,30 @@ func (s *Store) AppendBatch(acts []logs.Action) (uint64, error) {
 		sh.addRec(r)
 		s.metrics.Appends.Add(1)
 		s.metrics.AppendedBytes.Add(uint64(n))
-		touched[sh] = struct{}{}
 	}
 	if s.opts.Fsync {
-		for sh := range touched {
-			if err := sh.active.sync(); err != nil {
-				return 0, err
-			}
+		if err := s.commitBarrier(shards); err != nil {
+			return 0, err
 		}
 	}
 	s.metrics.BatchAppends.Add(1)
 	s.notifyAppend()
 	return base, nil
+}
+
+// commitBarrier makes a written batch durable: the active segment of
+// every shard the batch touched (each entry of shards received at least
+// one record) is fsynced, the syncs issued together rather than one
+// after another so the filesystem folds them into fewer journal
+// commits. The caller holds the shards' stripes.
+func (s *Store) commitBarrier(shards map[string]*shard) error {
+	segs := make([]*segment, 0, len(shards))
+	for _, sh := range shards {
+		segs = append(segs, sh.active)
+	}
+	s.metrics.SyncBarriers.Add(1)
+	s.metrics.SegmentSyncs.Add(uint64(len(segs)))
+	return fanOut(len(segs), func(i int) error { return segs[i].sync() })
 }
 
 // AppendActions adapts AppendBatch to the runtime.BatchSink interface,

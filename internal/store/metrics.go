@@ -20,6 +20,12 @@ type Metrics struct {
 	// (ErrShardCap). A nonzero, growing value is the capacity signal to
 	// partition the principal space across leaders (docs/operations.md).
 	ShardCapRejects atomic.Uint64
+	// SyncBarriers counts durability barriers run (one per fsynced
+	// Append, AppendBatch or ApplyReplicated, one per Sync and Close) and
+	// SegmentSyncs the segment fsyncs they issued; their ratio is the
+	// fsyncs one commit pays.
+	SyncBarriers atomic.Uint64
+	SegmentSyncs atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of the store's counters.
@@ -36,6 +42,8 @@ type Stats struct {
 	RecoveredRecords   uint64
 	TruncatedBytes     uint64
 	ShardCapRejects    uint64
+	SyncBarriers       uint64
+	SegmentSyncs       uint64
 	Principals         int
 	Records            int
 	Sessions           int
@@ -60,6 +68,8 @@ func (s *Store) Stats() Stats {
 		RecoveredRecords:   s.metrics.RecoveredRecords.Load(),
 		TruncatedBytes:     s.metrics.TruncatedBytes.Load(),
 		ShardCapRejects:    s.metrics.ShardCapRejects.Load(),
+		SyncBarriers:       s.metrics.SyncBarriers.Load(),
+		SegmentSyncs:       s.metrics.SegmentSyncs.Load(),
 		Principals:         len(c.Principals),
 		Records:            c.Records,
 		Sessions:           s.sessions.Count(),

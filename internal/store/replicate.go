@@ -30,11 +30,11 @@ var ErrReplicaOrder = errors.New("store: replicated batch out of sequence order"
 // faithful replica reproduces rather than papering over.
 //
 // Locking, durability and failure semantics match AppendBatch: every
-// touched stripe is held for the whole batch, one fsync per touched
-// segment, and a write failure leaves a strict prefix applied. The
-// sequence counter advances to last+1 only after the whole batch is on
-// disk, so a crashed replica resumes from a high-water its shards
-// actually back.
+// touched stripe is held for the whole batch, one durability barrier
+// over the touched segments, and a write failure leaves a strict prefix
+// applied. The sequence counter advances to last+1 only after the whole
+// batch is on disk, so a crashed replica resumes from a high-water its
+// shards actually back.
 //
 // ApplyReplicated must not race local Append/AppendBatch callers: a
 // replica store has exactly one writer, its Replicator. (The counter
@@ -90,7 +90,6 @@ func (s *Store) ApplyReplicated(recs []wire.Record) error {
 	if next := s.nextSeq.Load(); recs[0].Seq < next {
 		return fmt.Errorf("%w: batch starts at seq %d, store high-water is %d", ErrReplicaOrder, recs[0].Seq, next)
 	}
-	touched := make(map[*shard]struct{}, len(shards))
 	for _, r := range recs {
 		sh := shards[r.Act.Principal]
 		if sh.active == nil || sh.active.size >= s.opts.SegmentBytes {
@@ -105,13 +104,10 @@ func (s *Store) ApplyReplicated(recs []wire.Record) error {
 		sh.addRec(r)
 		s.metrics.Appends.Add(1)
 		s.metrics.AppendedBytes.Add(uint64(n))
-		touched[sh] = struct{}{}
 	}
 	if s.opts.Fsync {
-		for sh := range touched {
-			if err := sh.active.sync(); err != nil {
-				return err
-			}
+		if err := s.commitBarrier(shards); err != nil {
+			return err
 		}
 	}
 	// CAS-max rather than Store: monotonic even if a misbehaving local

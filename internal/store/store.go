@@ -472,6 +472,10 @@ func (s *Store) Append(a logs.Action) (uint64, error) {
 			return 0, err
 		}
 	}
+	if s.opts.Fsync {
+		s.metrics.SyncBarriers.Add(1)
+		s.metrics.SegmentSyncs.Add(1)
+	}
 	n, err := sh.active.appendRecord(r, s.opts.Fsync)
 	if err != nil {
 		return 0, err
@@ -529,20 +533,8 @@ func (s *Store) Sync() error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	for _, sh := range s.snapshotShards() {
-		st := s.stripeFor(sh.principal)
-		st.Lock()
-		var err error
-		if sh.active != nil {
-			err = sh.active.sync()
-		}
-		if err == nil {
-			err = syncDir(sh.dir)
-		}
-		st.Unlock()
-		if err != nil {
-			return err
-		}
+	if err := s.syncShards(false); err != nil {
+		return err
 	}
 	s.sessions.mu.Lock()
 	err := s.sessions.syncLocked()
@@ -560,24 +552,7 @@ func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	var firstErr error
-	for _, sh := range s.snapshotShards() {
-		st := s.stripeFor(sh.principal)
-		st.Lock()
-		if sh.active != nil {
-			if err := sh.active.sync(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if err := sh.active.close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			sh.active = nil
-		}
-		if err := syncDir(sh.dir); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		st.Unlock()
-	}
+	firstErr := s.syncShards(true)
 	s.sessions.mu.Lock()
 	if err := s.sessions.syncLocked(); err != nil && firstErr == nil {
 		firstErr = err
@@ -590,6 +565,41 @@ func (s *Store) Close() error {
 		firstErr = err
 	}
 	return firstErr
+}
+
+// syncShards is the whole-store durability barrier behind Sync and
+// Close: every shard's active segment and directory synced (and, for
+// Close, the segment closed) under all stripes, the shards fanned out
+// like a commit's touched segments instead of paid one after another.
+func (s *Store) syncShards(closeSegments bool) error {
+	shards := s.snapshotShards()
+	for i := range s.stripes {
+		s.stripes[i].Lock()
+	}
+	defer func() {
+		for i := range s.stripes {
+			s.stripes[i].Unlock()
+		}
+	}()
+	s.metrics.SyncBarriers.Add(1)
+	return fanOut(len(shards), func(i int) error {
+		sh := shards[i]
+		var err error
+		if sh.active != nil {
+			s.metrics.SegmentSyncs.Add(1)
+			err = sh.active.sync()
+			if closeSegments {
+				if cerr := sh.active.close(); err == nil {
+					err = cerr
+				}
+				sh.active = nil
+			}
+		}
+		if derr := syncDir(sh.dir); err == nil {
+			err = derr
+		}
+		return err
+	})
 }
 
 // snapshotShards returns the current shards in stable (principal) order.

@@ -49,6 +49,7 @@ type Proxy struct {
 	dropAckAt     map[int]bool    // ordinals to swallow-and-kill (set before traffic)
 	armedAcks     []chan struct{} // one-shot swallow-and-kill of the next ack
 	armedChunks   []chan struct{} // one-shot swallow (keep conn) of the next query chunk
+	armedHolds    []replyHold     // one-shot stall of the next batch reply
 	acksDropped   int
 	chunksDropped int
 }
@@ -107,6 +108,26 @@ func (p *Proxy) ArmAckDrop() <-chan struct{} {
 	p.armedAcks = append(p.armedAcks, ch)
 	p.mu.Unlock()
 	return ch
+}
+
+// replyHold is one armed stall: held closes when a reply is caught,
+// release (closed by the test) lets it through.
+type replyHold struct{ held, release chan struct{} }
+
+// ArmReplyHold arms a one-shot stall: the next batch reply (an ack or a
+// rejection, any connection) is caught and its connection's
+// server→client direction stops relaying until release is called. held
+// closes when the reply is caught — the server has answered and the
+// client is still waiting, so the request stays in flight for exactly
+// as long as the test needs it to. Nothing is lost: release delivers
+// the caught reply and everything queued behind it.
+func (p *Proxy) ArmReplyHold() (held <-chan struct{}, release func()) {
+	h := replyHold{held: make(chan struct{}), release: make(chan struct{})}
+	p.mu.Lock()
+	p.armedHolds = append(p.armedHolds, h)
+	p.mu.Unlock()
+	var once sync.Once
+	return h.held, func() { once.Do(func() { close(h.release) }) }
 }
 
 // ArmChunkDrop arms a one-shot fault: the next query chunk frame (a
@@ -242,6 +263,19 @@ func (p *Proxy) relay(c, b net.Conn) {
 			return
 		}
 		if op, err := wire.PeekOp(env); err == nil {
+			if op == wire.OpIngestAck || op == wire.OpIngestError {
+				p.mu.Lock()
+				var hold *replyHold
+				if len(p.armedHolds) > 0 {
+					hold = &p.armedHolds[0]
+					p.armedHolds = p.armedHolds[1:]
+				}
+				p.mu.Unlock()
+				if hold != nil {
+					close(hold.held)
+					<-hold.release
+				}
+			}
 			switch op {
 			case wire.OpIngestAck:
 				p.mu.Lock()

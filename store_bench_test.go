@@ -176,6 +176,37 @@ func BenchmarkStoreAppendBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreAppendBatchFsync measures the durability barrier: one op
+// is one fsynced AppendBatch with one action for each of `touched`
+// distinct principals, so it pays exactly `touched` segment syncs. The
+// write itself is microseconds; what moves this benchmark is how the
+// store issues those syncs.
+func BenchmarkStoreAppendBatchFsync(b *testing.B) {
+	for _, touched := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("touched=%d", touched), func(b *testing.B) {
+			s, err := store.Open(b.TempDir(), store.Options{Fsync: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			batch := make([]logs.Action, touched)
+			for j := range batch {
+				batch[j] = logs.SndAct(fmt.Sprintf("p%d", j), logs.NameT("m"), logs.NameT("v"))
+			}
+			if _, err := s.AppendBatch(batch); err != nil { // create the shards
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.AppendBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStoreMixedAppendAudit is the workload the incremental global
 // snapshot exists for: every iteration appends one action and then runs
 // a Definition-3 audit (which needs the merged global log). The audited
