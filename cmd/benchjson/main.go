@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -89,8 +90,13 @@ func parseFile(path string) (map[string][]sample, error) {
 		return nil, err
 	}
 	defer f.Close()
+	return parse(f)
+}
+
+// parse reads `go test -bench` output into per-benchmark sample lists.
+func parse(r io.Reader) (map[string][]sample, error) {
 	out := make(map[string][]sample)
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
@@ -191,55 +197,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(2)
 		}
-		art.Baseline = reduce(oldSamples)
-		var gated *regexp.Regexp
-		if *gatePat != "" {
-			gated, err = regexp.Compile(*gatePat)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: bad -gate: %v\n", err)
-				os.Exit(2)
-			}
-			art.Gate = &gate{Pattern: *gatePat, ThresholdPct: *threshold, AllocThresholdPct: *allocThr, Violations: []string{}}
-		}
-		oldByName := make(map[string]result, len(art.Baseline))
-		for _, r := range art.Baseline {
-			oldByName[r.Name] = r
-		}
-		for _, nr := range art.Benchmarks {
-			or, ok := oldByName[nr.Name]
-			if !ok || or.NsPerOp == 0 {
-				continue
-			}
-			d := delta{
-				Name:     nr.Name,
-				OldNs:    or.NsPerOp,
-				NewNs:    nr.NsPerOp,
-				DeltaPct: (nr.NsPerOp - or.NsPerOp) / or.NsPerOp * 100,
-				Gated:    gated != nil && gated.MatchString(nr.Name),
-			}
-			if or.AllocsPerOp > 0 || nr.AllocsPerOp > 0 {
-				d.OldAllocs = or.AllocsPerOp
-				d.NewAllocs = nr.AllocsPerOp
-				if or.AllocsPerOp > 0 {
-					d.AllocsDeltaPct = (nr.AllocsPerOp - or.AllocsPerOp) / or.AllocsPerOp * 100
-				}
-			}
-			art.Deltas = append(art.Deltas, d)
-			if d.Gated && d.DeltaPct > *threshold {
-				art.Gate.Violations = append(art.Gate.Violations, d.Name)
-				fmt.Fprintf(os.Stderr, "benchjson: REGRESSION %s: %.0f → %.0f ns/op (%+.1f%% > %.0f%%)\n",
-					d.Name, d.OldNs, d.NewNs, d.DeltaPct, *threshold)
-				failed = true
-			}
-			// The allocation gate only fires when the baseline has memory
-			// columns too — a benchmark that just grew -benchmem must not
-			// fail the PR that adds the measurement.
-			if d.Gated && or.AllocsPerOp > 0 && d.AllocsDeltaPct > *allocThr {
-				art.Gate.Violations = append(art.Gate.Violations, d.Name+" (allocs)")
-				fmt.Fprintf(os.Stderr, "benchjson: ALLOC REGRESSION %s: %.1f → %.1f allocs/op (%+.1f%% > %.0f%%)\n",
-					d.Name, d.OldAllocs, d.NewAllocs, d.AllocsDeltaPct, *allocThr)
-				failed = true
-			}
+		failed, err = compare(&art, oldSamples, *gatePat, *threshold, *allocThr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(2)
 		}
 	}
 
@@ -261,4 +222,60 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// compare fills art's baseline and deltas from the baseline samples and
+// reports whether a benchmark matching gatePat regressed past either
+// threshold (percent).
+func compare(art *artifact, oldSamples map[string][]sample, gatePat string, threshold, allocThr float64) (failed bool, err error) {
+	art.Baseline = reduce(oldSamples)
+	var gated *regexp.Regexp
+	if gatePat != "" {
+		gated, err = regexp.Compile(gatePat)
+		if err != nil {
+			return false, fmt.Errorf("bad -gate: %v", err)
+		}
+		art.Gate = &gate{Pattern: gatePat, ThresholdPct: threshold, AllocThresholdPct: allocThr, Violations: []string{}}
+	}
+	oldByName := make(map[string]result, len(art.Baseline))
+	for _, r := range art.Baseline {
+		oldByName[r.Name] = r
+	}
+	for _, nr := range art.Benchmarks {
+		or, ok := oldByName[nr.Name]
+		if !ok || or.NsPerOp == 0 {
+			continue
+		}
+		d := delta{
+			Name:     nr.Name,
+			OldNs:    or.NsPerOp,
+			NewNs:    nr.NsPerOp,
+			DeltaPct: (nr.NsPerOp - or.NsPerOp) / or.NsPerOp * 100,
+			Gated:    gated != nil && gated.MatchString(nr.Name),
+		}
+		if or.AllocsPerOp > 0 || nr.AllocsPerOp > 0 {
+			d.OldAllocs = or.AllocsPerOp
+			d.NewAllocs = nr.AllocsPerOp
+			if or.AllocsPerOp > 0 {
+				d.AllocsDeltaPct = (nr.AllocsPerOp - or.AllocsPerOp) / or.AllocsPerOp * 100
+			}
+		}
+		art.Deltas = append(art.Deltas, d)
+		if d.Gated && d.DeltaPct > threshold {
+			art.Gate.Violations = append(art.Gate.Violations, d.Name)
+			fmt.Fprintf(os.Stderr, "benchjson: REGRESSION %s: %.0f → %.0f ns/op (%+.1f%% > %.0f%%)\n",
+				d.Name, d.OldNs, d.NewNs, d.DeltaPct, threshold)
+			failed = true
+		}
+		// The allocation gate only fires when the baseline has memory
+		// columns too — a benchmark that just grew -benchmem must not
+		// fail the PR that adds the measurement.
+		if d.Gated && or.AllocsPerOp > 0 && d.AllocsDeltaPct > allocThr {
+			art.Gate.Violations = append(art.Gate.Violations, d.Name+" (allocs)")
+			fmt.Fprintf(os.Stderr, "benchjson: ALLOC REGRESSION %s: %.1f → %.1f allocs/op (%+.1f%% > %.0f%%)\n",
+				d.Name, d.OldAllocs, d.NewAllocs, d.AllocsDeltaPct, allocThr)
+			failed = true
+		}
+	}
+	return failed, nil
 }

@@ -1,13 +1,16 @@
-// Command provbench regenerates every experiment in DESIGN.md §4 /
-// EXPERIMENTS.md: the paper's tables (T1-T4), worked examples (E1-E3),
-// meta-theoretic properties (P1-P3, TH1), overhead figures (F1-F4) and
-// ablations/extensions (A1-A2, X1-X2).
+// Command provbench reproduces the paper: its tables (T1-T4), the
+// §2.3.2 worked examples (E1-E3), Propositions 1-3 and Theorem 1
+// (P1-P3, TH1), cost figures (F1-F4), ablations (A1-A2) and extensions
+// (X1-X3). Service performance is measured elsewhere: `go run ./bench`
+// end to end and per layer, the Go micro-benchmarks by cmd/benchjson.
 //
 // Usage:
 //
 //	provbench -exp T3          one experiment
 //	provbench -exp E1,E2,E3    several
 //	provbench                  all of them
+//
+// The exit status is 1 if any check failed, 2 on unknown experiment ids.
 package main
 
 import (
@@ -46,12 +49,6 @@ var experiments = []experiment{
 	{"X1", "Extension §5 — trust and adequacy", expX1},
 	{"X2", "Extension §5 — static analysis vs dynamic runs", expX2},
 	{"X3", "Extension — auditing under an unreliable network", expX3},
-	{"L1", "Load — binary pipelined ingest vs HTTP/JSON single-record append", expL1},
-	{"L2", "Load — filtered queries + live follow under concurrent binary ingest", expL2},
-	{"L3", "Load — replication: replica bootstrap + follow catch-up under live ingest", expL3},
-	{"L4", "Load — idle-fleet cost: parked connections, wake-to-ack latency", expL4},
-	{"L5", "Load — partitioned fleet: 2-leader aggregate append throughput vs single leader", expL5},
-	{"C1", "Cluster sim — seeded fault schedules vs the full invariant suite", expC1},
 }
 
 func main() {
@@ -66,14 +63,22 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
+	var ids []string
 	if *expFlag != "" {
-		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
+		ids = strings.Split(*expFlag, ",")
+	}
+	os.Exit(run(experiments, ids))
+}
+
+// run executes the experiments named by ids (all of them when ids is
+// empty) and returns the process exit status.
+func run(exps []experiment, ids []string) int {
+	want := map[string]bool{}
+	for _, id := range ids {
+		want[strings.ToUpper(strings.TrimSpace(id))] = true
 	}
 	known := map[string]bool{}
-	for _, e := range experiments {
+	for _, e := range exps {
 		known[e.id] = true
 	}
 	var unknown []string
@@ -85,10 +90,11 @@ func main() {
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
 		fmt.Fprintf(os.Stderr, "provbench: unknown experiments: %s\n", strings.Join(unknown, ", "))
-		os.Exit(2)
+		return 2
 	}
 
-	for _, e := range experiments {
+	before := failures
+	for _, e := range exps {
 		if len(want) > 0 && !want[e.id] {
 			continue
 		}
@@ -96,13 +102,22 @@ func main() {
 		e.run()
 		fmt.Println()
 	}
+	if n := failures - before; n > 0 {
+		fmt.Fprintf(os.Stderr, "provbench: %d checks failed\n", n)
+		return 1
+	}
+	return 0
 }
+
+// failures counts failed checks across every experiment run.
+var failures int
 
 // pass/fail helpers keep the report format uniform.
 func check(label string, ok bool) {
 	mark := "ok  "
 	if !ok {
 		mark = "FAIL"
+		failures++
 	}
 	fmt.Printf("  [%s] %s\n", mark, label)
 }

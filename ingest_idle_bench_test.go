@@ -14,8 +14,9 @@ package repro_test
 //	               after a forced GC. Includes the client half of each
 //	               loopback conn, so it is an upper bound on the
 //	               server-side cost.
-//	p99-wake-ns  — p99 of wake-to-ack: one batch sent to a (re)parked
-//	               conn, timed to its durable ack. The timed loop
+//	p50-wake-ns,
+//	p99-wake-ns  — median and p99 of wake-to-ack: one batch sent to a
+//	               (re)parked conn, timed to its durable ack. The timed loop
 //	               round-robins, so with IdlePark at 5ms every revisit
 //	               finds the conn parked again and pays the real
 //	               unpark cost.
@@ -223,6 +224,7 @@ func benchIdleConns(b *testing.B, n int) {
 
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	if len(lat) > 0 {
+		b.ReportMetric(float64(lat[len(lat)/2]), "p50-wake-ns")
 		b.ReportMetric(float64(lat[len(lat)*99/100]), "p99-wake-ns")
 	}
 	b.ReportMetric(float64(goroutines), "goroutines")

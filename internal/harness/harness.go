@@ -21,8 +21,7 @@
 //     equals the batches it sent, and every exported session entry's
 //     sequence block is backed by the log.
 //
-// The harness is deliberately a non-test package: the go test property
-// suite wraps it, and provbench's C1 experiment soaks it at scale.
+// The go test property suite in harness_test.go wraps it.
 package harness
 
 import (

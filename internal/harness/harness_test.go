@@ -16,13 +16,41 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/scenario"
 	"repro/internal/testutil"
 )
 
-// specFor is SweepSpec — the spec rotation is shared with provbench's
-// C1 soak so a seed that fails there replays here via REPRO_SEED.
-func specFor(seed int64) scenario.Spec { return SweepSpec(seed) }
+// sweepSpec rotates the scenario shape by seed so a sweep covers every
+// topology, fleet size and fault emphasis.
+func sweepSpec(seed int64) scenario.Spec {
+	i := int(uint64(seed) % 12)
+	spec := scenario.Default()
+	spec.Name = fmt.Sprintf("sweep-%d", i)
+	spec.Topology = scenario.Topology(i % 4)
+	spec.Replicas = 1 + i%3
+	spec.Producers = 1 + i%4
+	spec.Batches = 20 + (i%3)*8
+	spec.Mix = gen.MixSendHeavy()
+	switch i % 3 {
+	case 0: // transport-hostile: lost acks and dying connections
+		spec.Faults = scenario.FaultPlan{
+			DropAck: 200, DropConn: 150, KillLeader: 40, KillReplica: 60,
+			Partition: 40, Gap: 60, MaxLeaderKills: 1,
+		}
+	case 1: // crash-hostile: daemons die and restart
+		spec.Faults = scenario.FaultPlan{
+			DropAck: 80, DropConn: 60, KillLeader: 120, KillReplica: 200,
+			Partition: 40, Gap: 40, MaxLeaderKills: 3,
+		}
+	default: // network-hostile: partitions and follow-stream gaps
+		spec.Faults = scenario.FaultPlan{
+			DropAck: 60, DropConn: 60, KillLeader: 30, KillReplica: 60,
+			Partition: 180, Gap: 180, MaxLeaderKills: 1,
+		}
+	}
+	return spec
+}
 
 func scheduleCount(tb testing.TB) int {
 	n := 28 // the acceptance bar is ≥25 distinct schedules
@@ -50,7 +78,7 @@ func TestScenarioSchedules(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			seed := testutil.Seed(t, seed) // logs the seed if this subtest fails
-			sc := scenario.Compile(specFor(seed), seed)
+			sc := scenario.Compile(sweepSpec(seed), seed)
 			res, err := Run(sc, Options{Dir: t.TempDir(), Logf: t.Logf})
 			if err != nil {
 				t.Fatal(err)
@@ -100,7 +128,7 @@ func TestNoFaultControl(t *testing.T) {
 // schedule, not the wall clock, decides what happens.
 func TestRunDeterministicWorkload(t *testing.T) {
 	seed := testutil.Seed(t, 7)
-	sc := scenario.Compile(specFor(seed), seed)
+	sc := scenario.Compile(sweepSpec(seed), seed)
 	a, err := Run(sc, Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)

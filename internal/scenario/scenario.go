@@ -10,7 +10,7 @@
 // consults time, maps, or any PRNG other than the one derived from the
 // seed, so a printed seed is a complete reproduction recipe. The
 // harness in internal/harness executes compiled scenarios against a
-// real in-process cluster; provbench's C1 experiment soaks large ones.
+// real in-process cluster.
 package scenario
 
 import (

@@ -46,14 +46,13 @@ func Seeds(tb testing.TB, base int64, n int) []int64 {
 		}
 		return []int64{v}
 	}
-	return DeriveSeeds(base, n)
+	return deriveSeeds(base, n)
 }
 
-// DeriveSeeds is the derivation behind Seeds, usable from non-test code
-// (provbench's simulation soak): n deterministic seeds from base. A
-// seed that fails in one sweep replays in any other sweep sharing the
-// base, or alone via REPRO_SEED.
-func DeriveSeeds(base int64, n int) []int64 {
+// deriveSeeds is the derivation behind Seeds: n deterministic seeds
+// from base. A seed that fails in one sweep replays in any other sweep
+// sharing the base, or alone via REPRO_SEED.
+func deriveSeeds(base int64, n int) []int64 {
 	src := rand.New(rand.NewSource(base))
 	out := make([]int64, n)
 	for i := range out {

@@ -7,9 +7,9 @@
 // It is a package (not per-suite _test helpers) because the same
 // faults recur across internal/provclient, internal/provd,
 // internal/replica and the simulation harness — and because
-// internal/harness and cmd/provbench inject the same faults from
-// non-test code, so the proxy and the comparators deliberately avoid
-// *testing.T in their core APIs.
+// internal/harness injects the same faults from non-test code, so the
+// proxy and the comparators deliberately avoid *testing.T in their core
+// APIs.
 package testutil
 
 import (
