@@ -30,11 +30,12 @@
 // protocol (-ingest-addr, default :7710; see docs/protocol.md): framed
 // binary batches with per-connection group commit into the store, the
 // path a fleet of monitored runtimes should feed the log through
-// (internal/provclient is the matching client). Sessioned (v2) clients
-// get exactly-once delivery: replayed batches are recognised by the
-// durable session table and re-acked instead of re-appended, with the
-// dedup window per session set by -dedup-window and the session
-// population capped by -max-sessions. The same listener serves the
+// (internal/provclient is the matching client). Every connection opens
+// a session, so delivery is exactly-once: replayed batches are
+// recognised by the durable session table and re-acked instead of
+// re-appended, with the dedup window per session set by -dedup-window
+// and the session population capped by -max-sessions. The same
+// listener serves the
 // binary read path — typed queries with cursor pagination and a Follow
 // mode streaming new records as they commit (remote replication and
 // off-box audit; provclient.Query is the client side), redacted under
@@ -64,7 +65,8 @@
 // whole read surface — log, audit, principals, binary queries and
 // follows — serves locally. Appends are refused: HTTP writes redirect
 // to -leader-http when set (503 naming the leader otherwise), and the
-// binary listener rejects batches with the leader's address. /healthz
+// binary listener refuses hellos and batches with the leader's address.
+// /healthz
 // reports the role and applied sequence; /metrics gains
 // provd_replica_lag_records, provd_replica_lag_seconds and the other
 // replication gauges. See docs/operations.md, "Running a read replica".
@@ -305,12 +307,12 @@ func main() {
 		if *replicaOf != "" {
 			// In replica mode the listener still serves queries, follows
 			// and snapshots — a replica can seed further replicas — but
-			// refuses appends.
+			// refuses appends, naming the leader.
 			rep := replica.New(st, *replicaOf, replica.Options{Logf: log.Printf, TLS: clientTLS, Token: *replicaToken})
 			rep.Start()
 			cleanup = append(cleanup, rep.Stop)
 			app.SetReplica(rep, *leaderHTTP)
-			iopts.ReadOnly, iopts.LeaderAddr = true, *replicaOf
+			iopts.LeaderAddr = *replicaOf
 			log.Printf("provd: replica of %s (applied seq %d)", *replicaOf, st.NextSeq())
 		}
 	}

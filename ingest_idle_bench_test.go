@@ -2,9 +2,9 @@ package repro_test
 
 // BenchmarkIngestIdleConns measures what an *idle* connection costs the
 // ingest listener, at 100 / 1k / 10k established connections. Each
-// sub-benchmark dials N raw binary-protocol clients, appends one batch
-// on each so the connection is fully active once, then waits for every
-// connection to idle-park. At that point it reports, per tier:
+// sub-benchmark dials N raw binary-protocol clients (hello, then one
+// batch each) so every connection is fully active once, then waits for
+// every connection to idle-park. At that point it reports, per tier:
 //
 //	goroutines   — runtime.NumGoroutine() with all N conns parked. On
 //	               Linux (epoll parking) this must stay roughly flat in
@@ -54,21 +54,35 @@ type idleConn struct {
 	enc *wire.StreamEncoder
 	dec *wire.StreamDecoder
 	e   *wire.Encoder
+	seq uint64 // the last batch sequence appendOne used
 }
 
-func dialIdle(addr string) (*idleConn, error) {
+// dialIdle connects and opens the connection's session.
+func dialIdle(addr, session string) (*idleConn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return &idleConn{c: c, enc: wire.NewStreamEncoder(c), dec: wire.NewStreamDecoder(c), e: wire.NewEncoder()}, nil
+	ic := &idleConn{c: c, enc: wire.NewStreamEncoder(c), dec: wire.NewStreamDecoder(c), e: wire.NewEncoder()}
+	ic.e.IngestHello(wire.IngestV2, session)
+	if err := ic.exchange(wire.OpIngestHelloAck); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return ic, nil
 }
 
-// appendOne sends a one-action batch and blocks until its ack, then
-// releases the stream buffers back to the wire pool.
+// appendOne sends a one-action batch and blocks until its ack.
 func (ic *idleConn) appendOne(id uint64, act logs.Action) error {
+	ic.seq++
 	ic.e.Reset()
-	ic.e.IngestBatch(id, []logs.Action{act})
+	ic.e.IngestBatch2(id, ic.seq, []logs.Action{act})
+	return ic.exchange(wire.OpIngestAck)
+}
+
+// exchange sends the encoded frame and blocks until a reply of kind
+// want, then releases the stream buffers back to the wire pool.
+func (ic *idleConn) exchange(want byte) error {
 	if err := ic.enc.Envelope(ic.e.Bytes()); err != nil {
 		return err
 	}
@@ -84,8 +98,8 @@ func (ic *idleConn) appendOne(id uint64, act logs.Action) error {
 	if err != nil {
 		return err
 	}
-	if m.Op != wire.OpIngestAck {
-		return fmt.Errorf("conn got op %#x (err %q), want ack", m.Op, m.Msg)
+	if m.Op != want {
+		return fmt.Errorf("conn got op %#x (err %q), want %#x", m.Op, m.Msg, want)
 	}
 	ic.enc.ReleaseBuffers()
 	ic.dec.ReleaseBuffers()
@@ -161,7 +175,7 @@ func benchIdleConns(b *testing.B, n int) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				ic, err := dialIdle(addr)
+				ic, err := dialIdle(addr, fmt.Sprintf("idle-%d", i))
 				if err == nil {
 					conns[i] = ic
 					err = ic.appendOne(1, benchAct(i%256, 0))

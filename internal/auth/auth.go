@@ -34,6 +34,8 @@ import (
 	"os"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/wire"
 )
 
 // Role is a bitmask of the operation classes a grant allows.
@@ -130,10 +132,15 @@ func NewMap() *Map {
 // Add installs a grant under its name, optionally reachable by a
 // cleartext dev token. A duplicate name or token is an error — silently
 // shadowing an identity's authority is exactly the bug an auth map
-// exists to prevent.
+// exists to prevent — and so is a token longer than the binary
+// listener's auth frame carries (wire.MaxTokenLen), which would work
+// over HTTP but never authenticate a binary connection.
 func (m *Map) Add(g Grant, token string) error {
 	if g.Name == "" {
 		return fmt.Errorf("auth: grant without a name")
+	}
+	if len(token) > wire.MaxTokenLen {
+		return fmt.Errorf("auth: token of identity %q is %d bytes, over the %d-byte limit", g.Name, len(token), wire.MaxTokenLen)
 	}
 	if _, dup := m.byName[g.Name]; dup {
 		return fmt.Errorf("auth: duplicate identity %q", g.Name)
@@ -175,7 +182,8 @@ func (m *Map) Len() int { return len(m.byName) }
 //
 //	name [principals=a,b|*] [observer=o|*] [roles=append,read,replica] [token=secret]
 //
-// with '#' comments and blank lines ignored. Defaults are the
+// with '#' comments and blank lines ignored, and tokens of at most
+// wire.MaxTokenLen (256) bytes. Defaults are the
 // least-privilege reading: no principals, observer = the identity's
 // own name, no roles (an identity with no roles can connect but do
 // nothing — list it explicitly to grant authority).

@@ -42,8 +42,8 @@ func randActs(principal string, batch, n int) []logs.Action {
 	return out
 }
 
-// TestIngestAliasingConcurrent: several connections (sessioned and
-// sessionless) pipeline batches of random shapes while every recycled
+// TestIngestAliasingConcurrent: several connections, each under its own
+// session, pipeline batches of random shapes while every recycled
 // buffer is poisoned on return. Each connection's committed records
 // must be exactly its sent actions, in order, bit for bit.
 func TestIngestAliasingConcurrent(t *testing.T) {
@@ -64,19 +64,11 @@ func TestIngestAliasingConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(c) * 7919))
 			principal := fmt.Sprintf("conn%d", c)
 			rc := dialRaw(t, addr)
-			sessioned := c%2 == 0
-			if sessioned {
-				rc.handshake(fmt.Sprintf("sess%d", c))
-			}
 			for b := 0; b < batches; b++ {
 				n := 1 + rng.Intn(40)
 				acts := randActs(principal, b, n)
 				sent[c] = append(sent[c], acts)
-				if sessioned {
-					rc.sendBatch2(uint64(b+1), uint64(b+1), acts)
-				} else {
-					rc.sendBatch(uint64(b+1), acts)
-				}
+				rc.sendBatch(uint64(b+1), acts)
 				if rng.Intn(4) == 0 {
 					rc.flush()
 					// Occasionally go quiet long enough to park mid-stream.
@@ -134,9 +126,9 @@ func TestIngestNoCrossSessionAckLeak(t *testing.T) {
 	poisonPools(t)
 	_, _, addr := newTestServer(t, Options{})
 
-	rcA := dialRaw(t, addr)
+	rcA := dialBare(t, addr)
 	rcA.handshake("sessA")
-	rcB := dialRaw(t, addr)
+	rcB := dialBare(t, addr)
 	rcB.handshake("sessB")
 
 	rcA.sendBatch2(1, 1, randActs("pA", 0, 5))
@@ -230,7 +222,7 @@ func TestIngestParkWake(t *testing.T) {
 // and a post-wake replay still re-acks the pre-park block.
 func TestIngestParkSessionSurvives(t *testing.T) {
 	srv, _, addr := newTestServer(t, Options{IdlePark: 30 * time.Millisecond})
-	rc := dialRaw(t, addr)
+	rc := dialBare(t, addr)
 	rc.handshake("parked-sess")
 	rc.sendBatch2(1, 1, acts("p", 0, 6))
 	rc.flush()

@@ -83,6 +83,7 @@ type wc struct {
 	c   net.Conn
 	enc *wire.StreamEncoder
 	dec *wire.StreamDecoder
+	seq uint64 // the last batch sequence batch used
 }
 
 // dialTLS connects as the named identity: a certificate the fixture's
@@ -131,6 +132,23 @@ func (w *wc) send(build func(*wire.Encoder)) {
 	}
 }
 
+// hello opens the connection's idempotency session and checks its ack.
+func (w *wc) hello(session string) {
+	w.t.Helper()
+	w.send(func(e *wire.Encoder) { e.IngestHello(wire.IngestV2, session) })
+	if m, err := w.readIngest(); err != nil || m.Op != wire.OpIngestHelloAck {
+		w.t.Fatalf("hello: %+v %v", m, err)
+	}
+}
+
+// batch sends acts as request id under the connection's next batch
+// sequence.
+func (w *wc) batch(id uint64, acts ...logs.Action) {
+	w.t.Helper()
+	w.seq++
+	w.send(func(e *wire.Encoder) { e.IngestBatch2(id, w.seq, acts) })
+}
+
 func (w *wc) readEnvelope() ([]byte, error) {
 	w.c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	return w.dec.Envelope()
@@ -156,15 +174,16 @@ func TestWireAuthPrincipalBound(t *testing.T) {
 	f := newAuthFixture(t, true, nil,
 		authGrant{Grant: auth.Grant{Name: "producer", Principals: []string{"alice"}, Roles: auth.RoleAppend}})
 	c := f.dialTLS(t, "producer")
+	c.hello("producer-1")
 
 	// Within the grant: commits and acks.
-	c.send(func(e *wire.Encoder) { e.IngestBatch(1, []logs.Action{sndAct("alice", 0)}) })
+	c.batch(1, sndAct("alice", 0))
 	if m, err := c.readIngest(); err != nil || m.Op != wire.OpIngestAck || m.ID != 1 {
 		t.Fatalf("in-grant append: %+v %v", m, err)
 	}
 
 	// Pure impersonation: rejected, per-request.
-	c.send(func(e *wire.Encoder) { e.IngestBatch(2, []logs.Action{sndAct("bob", 0)}) })
+	c.batch(2, sndAct("bob", 0))
 	m, err := c.readIngest()
 	if err != nil {
 		t.Fatal(err)
@@ -176,16 +195,14 @@ func TestWireAuthPrincipalBound(t *testing.T) {
 	// Smuggled inside a mixed batch: the whole batch is refused —
 	// error means none appended, so no partial commit under alice's
 	// name either.
-	c.send(func(e *wire.Encoder) {
-		e.IngestBatch(3, []logs.Action{sndAct("alice", 1), sndAct("bob", 1)})
-	})
+	c.batch(3, sndAct("alice", 1), sndAct("bob", 1))
 	if m, err = c.readIngest(); err != nil || m.Op != wire.OpIngestError || m.ID != 3 {
 		t.Fatalf("mixed batch: %+v %v", m, err)
 	}
 
 	// The connection survives and the store holds exactly the granted
 	// append.
-	c.send(func(e *wire.Encoder) { e.IngestBatch(4, []logs.Action{sndAct("alice", 2)}) })
+	c.batch(4, sndAct("alice", 2))
 	if m, err = c.readIngest(); err != nil || m.Op != wire.OpIngestAck || m.ID != 4 {
 		t.Fatalf("post-rejection append: %+v %v", m, err)
 	}
@@ -291,14 +308,16 @@ func TestWireAuthRoleGates(t *testing.T) {
 	if qm.Op != wire.OpQueryEnd || !strings.Contains(qm.Err, "lacks the read role") {
 		t.Fatalf("producer query: %+v", qm)
 	}
-	prod.send(func(e *wire.Encoder) { e.IngestBatch(2, []logs.Action{sndAct("p", 1)}) })
+	prod.hello("producer-1")
+	prod.batch(2, sndAct("p", 1))
 	if m, err := prod.readIngest(); err != nil || m.Op != wire.OpIngestAck {
 		t.Fatalf("producer append after refused query: %+v %v", m, err)
 	}
 
-	// Read-only identity appends: per-request error.
+	// Read-only identity appends (no hello: one would close the
+	// connection): per-request error.
 	cons := f.dialTLS(t, "consumer")
-	cons.send(func(e *wire.Encoder) { e.IngestBatch(1, []logs.Action{sndAct("p", 2)}) })
+	cons.batch(1, sndAct("p", 2))
 	m, err := cons.readIngest()
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +403,7 @@ func TestWireAuthCleartextToken(t *testing.T) {
 
 	// No token first: closed.
 	c := f.dialClear(t)
-	c.send(func(e *wire.Encoder) { e.IngestBatch(1, []logs.Action{sndAct("alice", 0)}) })
+	c.batch(1, sndAct("alice", 0))
 	if m, err := c.readIngest(); err != nil || m.Op != wire.OpIngestError || m.ID != 0 || !strings.Contains(m.Msg, "authentication required") {
 		t.Fatalf("unauthenticated first frame: %+v %v", m, err)
 	}
@@ -399,11 +418,12 @@ func TestWireAuthCleartextToken(t *testing.T) {
 	// Right token: the grant holds, and is enforced.
 	c = f.dialClear(t)
 	c.send(func(e *wire.Encoder) { e.IngestAuth("s3cret") })
-	c.send(func(e *wire.Encoder) { e.IngestBatch(1, []logs.Action{sndAct("alice", 0)}) })
+	c.hello("producer-1")
+	c.batch(1, sndAct("alice", 0))
 	if m, err := c.readIngest(); err != nil || m.Op != wire.OpIngestAck || m.ID != 1 {
 		t.Fatalf("token-authenticated append: %+v %v", m, err)
 	}
-	c.send(func(e *wire.Encoder) { e.IngestBatch(2, []logs.Action{sndAct("bob", 0)}) })
+	c.batch(2, sndAct("bob", 0))
 	if m, err := c.readIngest(); err != nil || m.Op != wire.OpIngestError || m.ID != 2 {
 		t.Fatalf("token identity impersonating: %+v %v", m, err)
 	}

@@ -1,11 +1,11 @@
 package ingest
 
-// Tests for the exactly-once half of the listener: the v2 session
+// Tests for the exactly-once half of the listener: the session
 // handshake, the per-session dedup window, replay re-acks, eviction,
-// and v1 coexistence. These drive raw wire connections so the replay
-// choreography (send the same batch sequence twice, across connections,
-// across server restarts) is exact; the client-side view lives in
-// internal/provclient and the full e2e in internal/provd.
+// and the retired v1 batch opcode. These drive raw wire connections so
+// the replay choreography (send the same batch sequence twice, across
+// connections, across server restarts) is exact; the client-side view
+// lives in internal/provclient and the full e2e in internal/provd.
 
 import (
 	"strings"
@@ -18,20 +18,12 @@ import (
 
 func (rc *rawConn) sendHello(version uint64, session string) {
 	rc.t.Helper()
-	e := wire.NewEncoder()
-	e.IngestHello(version, session)
-	if err := rc.enc.Envelope(e.Bytes()); err != nil {
-		rc.t.Fatal(err)
-	}
+	rc.frame(func(e *wire.Encoder) { e.IngestHello(version, session) })
 }
 
 func (rc *rawConn) sendBatch2(id, batchSeq uint64, acts []logs.Action) {
 	rc.t.Helper()
-	e := wire.NewEncoder()
-	e.IngestBatch2(id, batchSeq, acts)
-	if err := rc.enc.Envelope(e.Bytes()); err != nil {
-		rc.t.Fatal(err)
-	}
+	rc.frame(func(e *wire.Encoder) { e.IngestBatch2(id, batchSeq, acts) })
 }
 
 // handshake sends a hello and consumes the helloack, returning the
@@ -55,7 +47,7 @@ func (rc *rawConn) handshake(session string) uint64 {
 // sequence block.
 func TestSessionReplayReAck(t *testing.T) {
 	srv, st, addr := newTestServer(t, Options{})
-	rc := dialRaw(t, addr)
+	rc := dialBare(t, addr)
 	if max := rc.handshake("sess-a"); max != 0 {
 		t.Fatalf("fresh session reports max %d", max)
 	}
@@ -98,7 +90,7 @@ func TestSessionReplayReAck(t *testing.T) {
 func TestSessionReplayAcrossConnections(t *testing.T) {
 	_, st, addr := newTestServer(t, Options{})
 
-	rc1 := dialRaw(t, addr)
+	rc1 := dialBare(t, addr)
 	rc1.handshake("sess-b")
 	rc1.sendBatch2(1, 1, acts("p", 0, 3))
 	rc1.flush()
@@ -108,7 +100,7 @@ func TestSessionReplayAcrossConnections(t *testing.T) {
 	}
 	rc1.c.Close() // the ack was "lost": the client dies before processing it
 
-	rc2 := dialRaw(t, addr)
+	rc2 := dialBare(t, addr)
 	if max := rc2.handshake("sess-b"); max != 1 {
 		t.Fatalf("resumed session reports max %d, want 1", max)
 	}
@@ -140,7 +132,7 @@ func TestSessionDedupSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := dialRaw(t, addr)
+	rc := dialBare(t, addr)
 	rc.handshake("sess-c")
 	rc.sendBatch2(1, 1, acts("p", 0, 5))
 	rc.flush()
@@ -165,7 +157,7 @@ func TestSessionDedupSurvivesRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	rc2 := dialRaw(t, addr2)
+	rc2 := dialBare(t, addr2)
 	if max := rc2.handshake("sess-c"); max != 1 {
 		t.Fatalf("recovered session reports max %d, want 1", max)
 	}
@@ -203,7 +195,7 @@ func TestSessionEvictionRejected(t *testing.T) {
 	}
 	t.Cleanup(srv.Close)
 
-	rc := dialRaw(t, addr)
+	rc := dialBare(t, addr)
 	rc.handshake("sess-d")
 	for seq := uint64(1); seq <= 5; seq++ {
 		rc.sendBatch2(seq, seq, acts("p", int(seq), 1))
@@ -235,7 +227,7 @@ func TestSessionEvictionRejected(t *testing.T) {
 	}
 }
 
-// TestHandshakeProtocolErrors: sessioned batches before a hello, bad
+// TestHandshakeProtocolErrors: batches before a hello, bad
 // hello versions, empty sessions and duplicate hellos are all
 // connection-scoped failures.
 func TestHandshakeProtocolErrors(t *testing.T) {
@@ -243,7 +235,7 @@ func TestHandshakeProtocolErrors(t *testing.T) {
 
 	expectClose := func(name string, drive func(rc *rawConn)) {
 		t.Helper()
-		rc := dialRaw(t, addr)
+		rc := dialBare(t, addr)
 		drive(rc)
 		rc.flush()
 		for {
@@ -275,41 +267,33 @@ func TestHandshakeProtocolErrors(t *testing.T) {
 	})
 }
 
-// TestV1AndV2Coexist: a sessionless v1 connection and a sessioned v2
-// connection interleave against one server; the v1 side gets no dedup
-// (a resend appends again, at-least-once as documented), the v2 side
-// does.
-func TestV1AndV2Coexist(t *testing.T) {
+// TestRetiredBatchOpcodeCloses: opcode 0x21, the sessionless batch of
+// protocol revision 1, is retired. A well-formed v1 batch frame, before
+// or after a hello, draws an id-0 error and a close and appends
+// nothing.
+func TestRetiredBatchOpcodeCloses(t *testing.T) {
 	_, st, addr := newTestServer(t, Options{})
-
-	v1 := dialRaw(t, addr)
-	v2 := dialRaw(t, addr)
-	v2.handshake("sess-e")
-
-	batch := acts("p", 0, 2)
-	v1.sendBatch(1, batch)
-	v1.flush()
-	if m, err := v1.readMsg(); err != nil || m.Op != wire.OpIngestAck {
-		t.Fatalf("v1 ack: %+v %v", m, err)
+	e := wire.NewEncoder()
+	e.IngestBatch2(1, 1, acts("p", 0, 2))
+	env := e.Bytes()
+	// env is MAGIC(2) VERSION(1) op id batchSeq n action*n, with one-byte
+	// id and batchSeq; a v1 batch was the same under op 0x21 without
+	// the batchSeq.
+	v1 := append([]byte{env[0], env[1], env[2], 0x21, env[4]}, env[6:]...)
+	for _, rc := range []*rawConn{dialBare(t, addr), dialRaw(t, addr)} {
+		if err := rc.enc.Envelope(v1); err != nil {
+			t.Fatal(err)
+		}
+		rc.flush()
+		m, err := rc.readMsg()
+		if err != nil || m.Op != wire.OpIngestError || m.ID != 0 || !strings.Contains(m.Msg, "bad ingest message") {
+			t.Fatalf("retired opcode: %+v %v, want an id-0 error", m, err)
+		}
+		if _, err := rc.readMsg(); err == nil {
+			t.Fatal("connection should be closed after a retired opcode")
+		}
 	}
-	v1.sendBatch(2, batch) // v1 "replay": no session, appends again
-	v1.flush()
-	if m, err := v1.readMsg(); err != nil || m.Op != wire.OpIngestAck {
-		t.Fatalf("v1 resend ack: %+v %v", m, err)
-	}
-
-	v2.sendBatch2(1, 1, batch)
-	v2.flush()
-	if m, err := v2.readMsg(); err != nil || m.Op != wire.OpIngestAck {
-		t.Fatalf("v2 ack: %+v %v", m, err)
-	}
-	v2.sendBatch2(2, 1, batch) // v2 replay: dedup'd
-	v2.flush()
-	if m, err := v2.readMsg(); err != nil || m.Op != wire.OpIngestAck {
-		t.Fatalf("v2 replay ack: %+v %v", m, err)
-	}
-
-	if n := st.Len(); n != 3*len(batch) {
-		t.Fatalf("store has %d records, want %d (two v1 copies + one v2)", n, 3*len(batch))
+	if n := st.Len(); n != 0 {
+		t.Fatalf("store has %d records, want 0", n)
 	}
 }

@@ -65,7 +65,7 @@ type connState struct {
 	intern  *wire.Interner
 	grant   *auth.Grant
 
-	session string         // v2 idempotency session ("" = sessionless)
+	session string         // idempotency session named by the hello ("" until it arrives)
 	msg     wire.IngestMsg // reusable decode target; Acts drawn from the freelist
 	cs      commitScratch  // the committer's round-scoped working memory
 

@@ -18,6 +18,7 @@ package ingest
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/auth"
 	"repro/internal/query"
@@ -93,27 +94,6 @@ func (cq *connQueries) active() int {
 	return len(cq.running)
 }
 
-// sendQueryChunk writes and flushes one result chunk; flushing per
-// chunk keeps follows live.
-func (rw *replyWriter) sendQueryChunk(id uint64, recs []wire.Record) bool {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	if !rw.write(func(e *wire.Encoder) { e.QueryChunk(id, recs) }) {
-		return false
-	}
-	return rw.enc.Flush() == nil
-}
-
-// sendQueryEnd writes and flushes a query's terminating frame.
-func (rw *replyWriter) sendQueryEnd(id uint64, cursor, msg string) bool {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	if !rw.write(func(e *wire.Encoder) { e.QueryEnd(id, cursor, msg) }) {
-		return false
-	}
-	return rw.enc.Flush() == nil
-}
-
 // handleQueryMsg dispatches one query-family message from the reader.
 // It reports whether the connection is still trustworthy; per-query
 // failures are answered with a query-end error and keep it alive. A
@@ -124,31 +104,26 @@ func (rw *replyWriter) sendQueryEnd(id uint64, cursor, msg string) bool {
 func (s *Server) handleQueryMsg(cq *connQueries, replies *replyWriter, env []byte, grant *auth.Grant) bool {
 	m, err := wire.DecodeQuery(env)
 	if err != nil {
-		replies.sendError(0, fmt.Sprintf("closing: bad query message: %v", err))
-		s.connFails.Add(1)
-		return false
+		return s.closeConn(replies, fmt.Sprintf("bad query message: %v", err))
 	}
 	switch m.Op {
 	case wire.OpQuery:
 		if m.ID == 0 {
-			replies.sendError(0, "closing: query id 0 is reserved")
-			s.connFails.Add(1)
-			return false
+			return s.closeConn(replies, "query id 0 is reserved")
 		}
 		if grant != nil {
 			if !grant.CanRead() {
 				s.queryRejects.Add(1)
 				s.opts.Auth.QueryRejects.Add(1)
-				replies.sendQueryEnd(m.ID, "", fmt.Sprintf("identity %q lacks the read role", grant.Name))
-				return true
+				msg := fmt.Sprintf("identity %q lacks the read role", grant.Name)
+				return replies.send(func(e *wire.Encoder) { e.QueryEnd(m.ID, "", msg) })
 			}
 			m.Spec.Observer = grant.CoerceObserver(m.Spec.Observer)
 		}
 		cancel, err := cq.register(m.ID, s.opts.MaxQueriesPerConn)
 		if err != nil {
 			s.queryRejects.Add(1)
-			replies.sendQueryEnd(m.ID, "", err.Error())
-			return true
+			return replies.send(func(e *wire.Encoder) { e.QueryEnd(m.ID, "", err.Error()) })
 		}
 		s.queries.Add(1)
 		if m.Spec.Follow {
@@ -166,9 +141,7 @@ func (s *Server) handleQueryMsg(cq *connQueries, replies *replyWriter, env []byt
 		return true
 	default:
 		// Chunks and ends only flow server → client.
-		replies.sendError(0, fmt.Sprintf("closing: unexpected query opcode %#x from client", m.Op))
-		s.connFails.Add(1)
-		return false
+		return s.closeConn(replies, fmt.Sprintf("unexpected query opcode %#x from client", m.Op))
 	}
 }
 
@@ -193,12 +166,18 @@ func estSize(r wire.Record) int {
 	return 32 + len(r.Act.Principal) + len(r.Act.A.Name) + len(r.Act.B.Name)
 }
 
-// sendSplit ships recs as one or more chunk frames, each under the
-// frame codec's size bound, reporting write success.
-func (s *Server) sendSplit(replies *replyWriter, id uint64, recs []wire.Record) bool {
+// maxChunkFrame caps records per chunk frame: the query and snapshot
+// codecs' bounds (both 8192).
+const maxChunkFrame = min(wire.MaxQueryChunk, wire.MaxSnapshotChunk)
+
+// sendChunks ships recs as one or more chunk frames built by frame —
+// query or snapshot chunks — each under maxChunkFrame records and about
+// chunkBytes encoded, so no frame outgrows the stream codec's bound.
+// sent counts the records shipped; the result reports write success.
+func sendChunks(replies *replyWriter, recs []wire.Record, sent *atomic.Uint64, frame func(*wire.Encoder, []wire.Record)) bool {
 	for len(recs) > 0 {
 		n, bytes := 0, 0
-		for n < len(recs) && n < wire.MaxQueryChunk {
+		for n < len(recs) && n < maxChunkFrame {
 			sz := estSize(recs[n])
 			if n > 0 && bytes+sz > chunkBytes {
 				break
@@ -206,11 +185,25 @@ func (s *Server) sendSplit(replies *replyWriter, id uint64, recs []wire.Record) 
 			bytes += sz
 			n++
 		}
-		if !replies.sendQueryChunk(id, recs[:n]) {
+		if !replies.send(func(e *wire.Encoder) { frame(e, recs[:n]) }) {
 			return false
 		}
-		s.queryRecords.Add(uint64(n))
+		sent.Add(uint64(n))
 		recs = recs[n:]
+	}
+	return true
+}
+
+// stopped reports whether a running query or snapshot must end early:
+// its client cancelled it, the connection's reader is gone (client EOF
+// or drain kick), or the server is draining.
+func (s *Server) stopped(cq *connQueries, cancel chan struct{}) bool {
+	select {
+	case <-cancel:
+	case <-cq.done:
+	case <-s.done:
+	default:
+		return false
 	}
 	return true
 }
@@ -228,24 +221,11 @@ func (s *Server) runQuery(cq *connQueries, replies *replyWriter, id uint64, spec
 	if spec.Limit > 0 {
 		remaining = int64(spec.Limit)
 	}
-	cur := spec.Cursor
-	for {
-		select {
-		case <-cancel:
-			replies.sendQueryEnd(id, cur, "")
-			return
-		case <-cq.done:
-			// The reader is gone (client EOF or drain kick); the end
-			// frame is best effort but must still be attempted — on a
-			// server drain this select races <-s.done, and the client
-			// deserves its resume cursor either way.
-			replies.sendQueryEnd(id, cur, "")
-			return
-		case <-s.done:
-			replies.sendQueryEnd(id, cur, "")
-			return
-		default:
-		}
+	chunk := func(e *wire.Encoder, recs []wire.Record) { e.QueryChunk(id, recs) }
+	cur, msg := spec.Cursor, ""
+	// Stopped early, the end frame is best effort but still attempted:
+	// the client deserves its resume cursor.
+	for !s.stopped(cq, cancel) {
 		lim := int64(maxChunkRecs)
 		if remaining >= 0 && remaining < lim {
 			lim = remaining
@@ -254,10 +234,10 @@ func (s *Server) runQuery(cq *connQueries, replies *replyWriter, id uint64, spec
 		page, err := s.engine.Run(q)
 		if err != nil {
 			s.queryRejects.Add(1)
-			replies.sendQueryEnd(id, "", err.Error())
-			return
+			cur, msg = "", err.Error()
+			break
 		}
-		if !s.sendSplit(replies, id, page.Records) {
+		if !sendChunks(replies, page.Records, &s.queryRecords, chunk) {
 			return
 		}
 		cur = page.Cursor
@@ -265,10 +245,10 @@ func (s *Server) runQuery(cq *connQueries, replies *replyWriter, id uint64, spec
 			remaining -= int64(len(page.Records))
 		}
 		if cur == "" || remaining == 0 {
-			replies.sendQueryEnd(id, cur, "")
-			return
+			break
 		}
 	}
+	replies.send(func(e *wire.Encoder) { e.QueryEnd(id, cur, msg) })
 }
 
 // runFollow pumps a live tail until cancelled, the connection ends, or
@@ -283,7 +263,7 @@ func (s *Server) runFollow(cq *connQueries, replies *replyWriter, id uint64, spe
 	f, err := s.engine.FollowStream(q)
 	if err != nil {
 		s.queryRejects.Add(1)
-		replies.sendQueryEnd(id, "", err.Error())
+		replies.send(func(e *wire.Encoder) { e.QueryEnd(id, "", err.Error()) })
 		return
 	}
 	defer f.Close()
@@ -301,13 +281,14 @@ func (s *Server) runFollow(cq *connQueries, replies *replyWriter, id uint64, spe
 		}
 		close(stop)
 	}()
+	chunk := func(e *wire.Encoder, recs []wire.Record) { e.QueryChunk(id, recs) }
 	for {
 		recs, ok := f.NextChunk(maxChunkRecs, stop)
 		if !ok {
-			replies.sendQueryEnd(id, f.Cursor(), "")
+			replies.send(func(e *wire.Encoder) { e.QueryEnd(id, f.Cursor(), "") })
 			return
 		}
-		if !s.sendSplit(replies, id, recs) {
+		if !sendChunks(replies, recs, &s.queryRecords, chunk) {
 			return
 		}
 	}

@@ -16,21 +16,13 @@ import (
 
 func (rc *rawConn) sendQuery(id uint64, spec wire.QuerySpec) {
 	rc.t.Helper()
-	e := wire.NewEncoder()
-	e.Query(id, spec)
-	if err := rc.enc.Envelope(e.Bytes()); err != nil {
-		rc.t.Fatal(err)
-	}
+	rc.frame(func(e *wire.Encoder) { e.Query(id, spec) })
 	rc.flush()
 }
 
 func (rc *rawConn) sendCancel(id uint64) {
 	rc.t.Helper()
-	e := wire.NewEncoder()
-	e.QueryCancel(id)
-	if err := rc.enc.Envelope(e.Bytes()); err != nil {
-		rc.t.Fatal(err)
-	}
+	rc.frame(func(e *wire.Encoder) { e.QueryCancel(id) })
 	rc.flush()
 }
 

@@ -19,21 +19,21 @@
 // to commit latency: the classic group-commit shape, the same one the
 // runtime's sink pipeline uses in process.
 //
-// Exactly-once. A connection that opens with the v2 session handshake
-// (wire.OpIngestHello) gets replay protection: every sessioned batch
-// carries the session's monotonic batch sequence, and a sequence the
-// store's session table already holds is *re-acked* with its original
-// global sequence block instead of being appended again. The table is
-// checkpointed through the store (one sessions.log entry per committed
-// batch, written before the ack) and recovered on open, so dedup
-// survives a provd restart. The lookup → append → checkpoint round runs
-// under the table lock, so a replay racing its original commit on
-// another connection serialises behind it. Sessionless (v1) batches are
-// accepted unchanged and get no replay protection.
+// Exactly-once. The session is a property of the connection: its
+// handshake (wire.OpIngestHello) must precede the first batch and
+// cannot repeat, and every batch carries the session's monotonic batch
+// sequence. A sequence the store's session table already holds is
+// *re-acked* with its original global sequence block instead of being
+// appended again. The table is checkpointed through the store (one
+// sessions.log entry per committed batch, written before the ack) and
+// recovered on open, so dedup survives a provd restart. The lookup →
+// append → checkpoint round runs under the table lock, so a replay
+// racing its original commit on another connection serialises behind
+// it.
 //
 // Failure. A request the store rejects up front (validation) is
 // answered with an error reply and costs nothing else: the connection
-// and the other requests in its round proceed. A sessioned batch whose
+// and the other requests in its round proceed. A batch whose
 // sequence has fallen out of the dedup window is likewise rejected per
 // request (committing it blind could duplicate records). Frame-level
 // corruption (bad checksum, truncation, an unparseable envelope) closes
@@ -106,14 +106,12 @@ type Options struct {
 	// its blocked writes failed after the timeout instead of wedging
 	// Close forever.
 	DrainWriteTimeout time.Duration
-	// ReadOnly refuses all append traffic (hello, batches) with an
-	// error naming LeaderAddr, while queries, follows and snapshots are
-	// served unchanged. This is the listener a replica-mode provd runs:
-	// the replica's store has exactly one writer (its Replicator), and
-	// a client that dials the wrong node learns where the leader is.
-	ReadOnly bool
-	// LeaderAddr is the leader's ingest address named in ReadOnly
-	// rejections (may be empty).
+	// LeaderAddr, when set, makes the listener a read replica's: all
+	// append traffic (hello, batches) is refused with an error naming
+	// this leader ingest address, while queries, follows and snapshots
+	// are served unchanged. The replica's store has exactly one writer
+	// (its Replicator), and a client that dials the wrong node learns
+	// where the leader is.
 	LeaderAddr string
 	// TLS, when set, wraps the listener: every connection must complete
 	// a TLS handshake before its first frame. With
@@ -197,10 +195,10 @@ type Stats struct {
 	Commits         uint64 // store.AppendBatch rounds
 	Rejects         uint64 // error replies sent
 	ConnFails       uint64 // connections dropped on protocol/write errors
-	Sessions        uint64 // v2 session handshakes accepted
+	Sessions        uint64 // session handshakes accepted
 	DedupReplays    uint64 // replayed batches re-acked without appending
 	DedupRecords    uint64 // actions the dedup window kept out of the log
-	DedupEvicted    uint64 // sessioned batches refused as outside the dedup window
+	DedupEvicted    uint64 // batches refused as outside the dedup window
 	CheckpointFails uint64 // session-table checkpoint writes that failed (acks still truthful; replay protection for those batches lost)
 	Queries         uint64 // query requests started (including follows)
 	QueryRecords    uint64 // records served over the query ops
@@ -216,8 +214,8 @@ type Stats struct {
 // Server is the binary ingest listener over a store. With a nil store
 // (coordinator mode) it serves only the read plane: queries and
 // follows run against Options.Engine, hellos are answered with a zero
-// floor so ordinary clients can dial it, and batches and snapshots are
-// refused per the same per-op shape as ReadOnly.
+// floor so ordinary clients can dial it, batches are refused per
+// request (refuseAppend) and a snapshot request closes the connection.
 type Server struct {
 	store  *store.Store
 	opts   Options
@@ -397,16 +395,14 @@ func (s *Server) acceptLoop(l net.Listener) {
 	}
 }
 
-// request is one decoded batch request awaiting commit. A sessioned
-// (v2) request carries the connection's idempotency session and its
-// batch sequence number; a v1 request leaves session empty. The acts
-// slice is drawn from the connection's freelist and returns there
-// after the commit round that resolves it — including its fsync and
-// ack write — completes.
+// request is one decoded batch request awaiting commit: its request id,
+// its batch sequence under the connection's session, and its actions.
+// The acts slice is drawn from the connection's freelist and returns
+// there after the commit round that resolves it — including its fsync
+// and ack write — completes.
 type request struct {
 	id       uint64
 	acts     []logs.Action
-	session  string
 	batchSeq uint64
 }
 
@@ -462,7 +458,7 @@ func (s *Server) finish(st *connState) {
 // identify runs the connection's TLS handshake (if any) and resolves
 // its identity to a grant. A nil grant with ok=true means enforcement
 // is off, or a cleartext connection that must still authenticate with
-// its first frame (readLoop handles the token); ok=false means the
+// its first frame (authenticate takes the token); ok=false means the
 // connection was rejected and an id-0 error already sent.
 func (s *Server) identify(conn net.Conn, replies *replyWriter) (*auth.Grant, bool) {
 	tc, isTLS := conn.(*tls.Conn)
@@ -486,298 +482,263 @@ func (s *Server) identify(conn net.Conn, replies *replyWriter) (*auth.Grant, boo
 		grant := guard.GrantForCert(tc.ConnectionState().PeerCertificates)
 		if grant == nil {
 			guard.ConnRejects.Add(1)
-			s.connFails.Add(1)
-			replies.sendError(0, "closing: client certificate names no known identity")
-			return nil, false
+			return nil, s.closeConn(replies, "client certificate names no known identity")
 		}
 		return grant, true
 	}
 	// Cleartext with enforcement on: the first frame must be an auth
-	// token (readLoop checks); no grant yet.
+	// token (authenticate checks); no grant yet.
 	return nil, true
 }
 
 // replyWriter is a connection's serialised reply channel: the reader's
-// error replies and the committer's acks interleave under one mutex,
-// sharing one scratch envelope encoder so steady-state acks allocate
-// nothing.
+// error replies, the committer's acks and the query and snapshot
+// streams interleave under one mutex, sharing one scratch envelope
+// encoder so steady-state acks allocate nothing.
 type replyWriter struct {
 	mu      sync.Mutex
 	enc     *wire.StreamEncoder
 	scratch *wire.Encoder
 }
 
-// write frames one reply envelope (no flush), reporting success.
+// write frames one reply envelope (no flush, caller holds mu),
+// reporting success.
 func (rw *replyWriter) write(build func(*wire.Encoder)) bool {
 	rw.scratch.Reset()
 	build(rw.scratch)
 	return rw.enc.Envelope(rw.scratch.Bytes()) == nil
 }
 
-// sendError writes and flushes one error reply, best effort.
-func (rw *replyWriter) sendError(id uint64, msg string) {
+// send frames and flushes one reply, reporting whether the connection
+// is still writable. Every reply except a commit round's acks
+// (writeRoundReplies, one flush per round) goes through it: flushing
+// per frame keeps follows live and lets a resuming client learn its
+// replay floor from the hello ack before deciding what to re-send.
+func (rw *replyWriter) send(build func(*wire.Encoder)) bool {
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
-	if rw.write(func(e *wire.Encoder) { e.IngestError(id, msg) }) {
-		rw.enc.Flush()
-	}
+	return rw.write(build) && rw.enc.Flush() == nil
 }
 
-// sendClusterMap writes and flushes one partition-map reply, reporting
-// whether the connection is still writable.
-func (rw *replyWriter) sendClusterMap(id uint64, m wire.ClusterMap, errMsg string) bool {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	if !rw.write(func(e *wire.Encoder) { e.ClusterMapResp(id, m, errMsg) }) {
-		return false
-	}
-	return rw.enc.Flush() == nil
-}
-
-// sendHelloAck writes and flushes the session handshake reply, best
-// effort. Flushing immediately (rather than with the first ack) lets a
-// resuming client learn its replay floor before deciding what to
-// re-send.
-func (rw *replyWriter) sendHelloAck(maxBatchSeq uint64) {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	if rw.write(func(e *wire.Encoder) { e.IngestHelloAck(wire.IngestV2, maxBatchSeq) }) {
-		rw.enc.Flush()
-	}
+// closeConn sends the connection-scoped (id 0) error that precedes a
+// close and counts the failure. It returns false — a reader-side
+// handler's "stop reading" — so handlers can return it directly.
+func (s *Server) closeConn(replies *replyWriter, msg string) bool {
+	replies.send(func(e *wire.Encoder) { e.IngestError(0, "closing: "+msg) })
+	s.connFails.Add(1)
+	return false
 }
 
 // readVerdict is how a serve cycle's reader ended: the connection is
-// done (close it) or merely idle (park it).
+// done (close it) or merely idle (park it). readFrame is awaitFrame's
+// "keep reading".
 type readVerdict int
 
 const (
-	readClosed readVerdict = iota
+	readFrame readVerdict = iota
+	readClosed
 	readPark
 )
 
-// readLoop decodes request frames until the connection ends (EOF, error
-// or drain kick) or goes idle long enough to park, queueing ingest
-// requests for the committer and dispatching query-family frames to
-// their own goroutines. Malformed traffic gets an id-0 error reply;
-// frame-level damage ends the loop. A drain kick (the read-deadline
-// Close sets) must end the loop *silently*: the committer is about to
-// ack everything read, and an id-0 error would make the client fail
-// those very requests as connection-scoped.
-//
-// Idleness is probed with Peek(1) under a read deadline: a peek that
-// times out has consumed nothing, so the stream is still exactly at a
-// frame boundary — the one place a connection can park (or drain)
-// without either side losing protocol state.
+// readLoop is the connection's one frame loop: wait for a frame (the
+// idle probe), hold every frame of a connection that still has to
+// authenticate to the auth gate, then dispatch to the frame's family —
+// ingest (queued for the committer), query, snapshot or cluster. It
+// ends when the connection does (EOF, error or drain kick), when a
+// handler reports the connection untrustworthy (after its id-0 error
+// reply), or when the connection idles long enough to park. A drain
+// kick (the read-deadline Close sets) must end the loop *silently*: the
+// committer is about to ack everything read, and an id-0 error would
+// make the client fail those very requests as connection-scoped.
 func (s *Server) readLoop(st *connState, reqs chan<- request, cq *connQueries) readVerdict {
-	conn, replies, dec := st.conn, st.replies, st.dec
 	for {
-		if s.opts.IdlePark > 0 && dec.Buffered() == 0 {
-			select {
-			case <-s.done:
-				// Drain already began; nothing is buffered, so there is
-				// nothing left this reader owes the committer.
-				return readClosed
-			default:
-			}
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdlePark))
-			_, err := dec.Peek(1)
-			conn.SetReadDeadline(time.Time{})
-			if err != nil {
-				if isConnKick(err) {
-					if s.isDraining() {
-						return readClosed
-					}
-					if len(reqs) == 0 && cq.active() == 0 {
-						return readPark
-					}
-					continue // queries still running: stay resident, probe again
-				}
-				if !errors.Is(err, io.EOF) {
-					replies.sendError(0, fmt.Sprintf("closing: %v", err))
-					s.connFails.Add(1)
-				}
-				return readClosed
-			}
+		if v := s.awaitFrame(st, reqs, cq); v != readFrame {
+			return v
 		}
-		env, err := dec.Envelope()
+		env, err := st.dec.Envelope()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !isConnKick(err) {
-				replies.sendError(0, fmt.Sprintf("closing: %v", err))
-				s.connFails.Add(1)
+				s.closeConn(st.replies, err.Error())
 			}
 			return readClosed
 		}
-		if guard := s.opts.Auth; guard != nil && st.grant == nil {
-			// Cleartext with enforcement on: nothing proceeds until a
-			// token frame names a known identity. Anything else first is
-			// an unauthenticated caller and closes the connection.
-			m, err := wire.DecodeIngest(env)
-			if err != nil || m.Op != wire.OpIngestAuth {
-				guard.ConnRejects.Add(1)
-				s.connFails.Add(1)
-				replies.sendError(0, "closing: authentication required")
-				return readClosed
-			}
-			if st.grant = guard.Map.ByToken(m.Token); st.grant == nil {
-				guard.ConnRejects.Add(1)
-				s.connFails.Add(1)
-				replies.sendError(0, "closing: unknown authentication token")
-				return readClosed
-			}
-			continue
-		}
-		grant := st.grant
-		if op, err := wire.PeekOp(env); err == nil {
-			if wire.IsQueryOp(op) {
-				if !s.handleQueryMsg(cq, replies, env, grant) {
-					return readClosed
-				}
-				continue
-			}
-			if wire.IsSnapshotOp(op) {
-				if s.store == nil {
-					replies.sendError(0, "closing: coordinator serves no snapshots; bootstrap from a partition leader")
-					s.connFails.Add(1)
-					return readClosed
-				}
-				if !s.handleSnapshotMsg(cq, replies, env, grant) {
-					return readClosed
-				}
-				continue
-			}
-			if wire.IsClusterOp(op) {
-				if !s.handleClusterMsg(replies, env) {
-					return readClosed
-				}
-				continue
-			}
-		}
-		// Decode into the connection's reusable message, drawing the
-		// acts buffer from its freelist: the steady-state decode of the
-		// hot path allocates only what the interner has not yet seen.
-		if st.msg.Acts == nil {
-			st.msg.Acts = st.getActs()
-		}
-		m := &st.msg
-		if err := wire.DecodeIngestInto(env, m, st.intern); err != nil {
-			replies.sendError(0, fmt.Sprintf("closing: bad ingest message: %v", err))
-			s.connFails.Add(1)
-			return readClosed
-		}
-		if m.Op == wire.OpIngestAuth {
-			// Identity already established (client certificate, an earlier
-			// token, or no enforcement at all): accepted and ignored, so
-			// clients can send the frame uniformly.
-			continue
-		}
-		if s.opts.ReadOnly {
-			// A read replica: every append op is refused with a reply
-			// naming the leader. Batches are rejected per request — the
-			// connection survives for its queries and snapshots — but a
-			// hello closes the connection: sessions exist only to make
-			// appends idempotent, so a client opening one is an appender
-			// that must re-dial the leader.
-			msg := "read-only replica: appends must go to the leader"
-			if s.opts.LeaderAddr != "" {
-				msg = fmt.Sprintf("read-only replica: appends must go to the leader at %s", s.opts.LeaderAddr)
-			}
-			switch m.Op {
-			case wire.OpIngestBatch, wire.OpIngestBatch2:
-				s.rejects.Add(1)
-				replies.sendError(m.ID, msg)
-				continue
-			default:
-				replies.sendError(0, "closing: "+msg)
-				s.connFails.Add(1)
-				return readClosed
-			}
-		}
-		if s.store == nil {
-			// Coordinator mode: the read plane only. Hellos are still
-			// answered — every client handshakes on dial, query-only ones
-			// included — but batches are refused per request, pointing the
-			// producer at the partition leaders.
-			switch m.Op {
-			case wire.OpIngestBatch, wire.OpIngestBatch2:
-				s.rejects.Add(1)
-				replies.sendError(m.ID, "coordinator: appends go to the partition leaders; fetch the cluster map and route by principal")
-				continue
-			}
-		}
-		if rej := Admit(grant, s.opts.Cluster, m.Acts); rej != nil {
-			// Same per-op shape as ReadOnly: a batch is refused per request
-			// — "error means none appended" holds, the connection and its
-			// other requests survive (and the acts buffer stays in st.msg
-			// for the next decode) — while anything else on the append path
-			// (a hello opening an idempotency session, which can only fail
-			// the role check) closes the connection.
-			if rej.Reason != RejectNotOwner {
-				s.opts.Auth.AppendRejects.Add(1)
-			}
-			switch m.Op {
-			case wire.OpIngestBatch, wire.OpIngestBatch2:
-				s.rejects.Add(1)
-				replies.sendError(m.ID, rej.Error())
-				continue
-			default:
-				replies.sendError(0, "closing: "+rej.Error())
-				s.connFails.Add(1)
-				return readClosed
-			}
-		}
-		var req request
-		switch m.Op {
-		case wire.OpIngestHello:
-			// The handshake binds the connection to an idempotency
-			// session; it must come first and only once, so a batch can
-			// never be ambiguous about its session.
-			switch {
-			case st.session != "":
-				replies.sendError(0, "closing: duplicate hello")
-			case m.Version != wire.IngestV2:
-				replies.sendError(0, fmt.Sprintf("closing: unsupported ingest protocol version %d", m.Version))
-			case m.Session == "":
-				replies.sendError(0, "closing: empty session id")
-			default:
-				st.session = m.Session
-				s.sessions.Add(1)
-				floor := uint64(0)
-				if s.store != nil {
-					floor = s.store.Sessions().Max(st.session)
-				}
-				replies.sendHelloAck(floor)
-				continue
-			}
-			s.connFails.Add(1)
-			return readClosed
-		case wire.OpIngestBatch:
-			req = request{id: m.ID, acts: m.Acts}
-		case wire.OpIngestBatch2:
-			if st.session == "" {
-				replies.sendError(0, "closing: sessioned batch before hello")
-				s.connFails.Add(1)
-				return readClosed
-			}
-			req = request{id: m.ID, acts: m.Acts, session: st.session, batchSeq: m.BatchSeq}
+		op, _ := wire.PeekOp(env) // a bad header fails the ingest decode
+		var ok bool
+		switch {
+		case st.grant == nil && s.opts.Auth != nil:
+			ok = s.authenticate(st, env)
+		case wire.IsQueryOp(op):
+			ok = s.handleQueryMsg(cq, st.replies, env, st.grant)
+		case wire.IsSnapshotOp(op):
+			ok = s.handleSnapshotMsg(cq, st.replies, env, st.grant)
+		case wire.IsClusterOp(op):
+			ok = s.handleClusterMsg(st.replies, env)
 		default:
-			replies.sendError(0, fmt.Sprintf("closing: unexpected opcode %#x", m.Op))
-			s.connFails.Add(1)
-			return readClosed
+			ok = s.handleIngestMsg(st, reqs, env)
 		}
-		// The committer owns the acts buffer from here until the round
-		// that resolves this request is fully acked; the next decode
-		// draws a fresh buffer from the freelist.
-		st.msg.Acts = nil
-		s.requests.Add(1)
-		select {
-		case reqs <- req:
-		case <-s.done:
-			// Drain began while the queue was full: this request was
-			// read but cannot be queued without blocking forever; drop
-			// it unacked, like an unread one.
+		if !ok {
 			return readClosed
 		}
 	}
+}
+
+// awaitFrame is the idle probe: with parking on and nothing buffered it
+// waits up to IdlePark for the next frame's first byte, with Peek(1)
+// under a read deadline. A peek that times out has consumed nothing, so
+// the stream is still exactly at a frame boundary — the one place a
+// connection can park (or drain) without either side losing protocol
+// state. It returns readFrame when a frame is there to read.
+func (s *Server) awaitFrame(st *connState, reqs chan<- request, cq *connQueries) readVerdict {
+	for s.opts.IdlePark > 0 && st.dec.Buffered() == 0 {
+		if s.isDraining() {
+			// Nothing is buffered, so there is nothing left this reader
+			// owes the committer.
+			return readClosed
+		}
+		st.conn.SetReadDeadline(time.Now().Add(s.opts.IdlePark))
+		_, err := st.dec.Peek(1)
+		st.conn.SetReadDeadline(time.Time{})
+		switch {
+		case err == nil:
+			return readFrame
+		case !isConnKick(err):
+			if !errors.Is(err, io.EOF) {
+				s.closeConn(st.replies, err.Error())
+			}
+			return readClosed
+		case s.isDraining():
+			return readClosed
+		case len(reqs) == 0 && cq.active() == 0:
+			return readPark
+		}
+		// Queries still running: stay resident, probe again.
+	}
+	return readFrame
+}
+
+// authenticate is the gate of a cleartext connection under
+// enforcement: nothing proceeds until a token frame names a known
+// identity, and anything else first is an unauthenticated caller that
+// closes the connection.
+func (s *Server) authenticate(st *connState, env []byte) bool {
+	guard := s.opts.Auth
+	m, err := wire.DecodeIngest(env)
+	if err != nil || m.Op != wire.OpIngestAuth {
+		guard.ConnRejects.Add(1)
+		return s.closeConn(st.replies, "authentication required")
+	}
+	if st.grant = guard.Map.ByToken(m.Token); st.grant == nil {
+		guard.ConnRejects.Add(1)
+		return s.closeConn(st.replies, "unknown authentication token")
+	}
+	return true
+}
+
+// handleIngestMsg dispatches one ingest-family message from the reader,
+// reporting whether the connection is still trustworthy: an auth frame
+// on an identified connection is ignored, a hello opens the
+// connection's session, and a batch is queued for the committer —
+// unless refuseAppend turns the append away.
+func (s *Server) handleIngestMsg(st *connState, reqs chan<- request, env []byte) bool {
+	// Decode into the connection's reusable message, drawing the acts
+	// buffer from its freelist: the steady-state decode of the hot path
+	// allocates only what the interner has not yet seen.
+	if st.msg.Acts == nil {
+		st.msg.Acts = st.getActs()
+	}
+	m := &st.msg
+	if err := wire.DecodeIngestInto(env, m, st.intern); err != nil {
+		return s.closeConn(st.replies, fmt.Sprintf("bad ingest message: %v", err))
+	}
+	switch m.Op {
+	case wire.OpIngestAuth:
+		// Identity already established (client certificate, an earlier
+		// token, or no enforcement at all): accepted and ignored, so
+		// clients can send the frame uniformly.
+		return true
+	case wire.OpIngestHello, wire.OpIngestBatch2:
+	default:
+		return s.closeConn(st.replies, fmt.Sprintf("unexpected opcode %#x", m.Op))
+	}
+	if why := s.refuseAppend(st.grant, m); why != "" {
+		// A batch is refused per request: "error means none appended"
+		// holds, the connection and its other requests survive, and the
+		// acts buffer stays in st.msg for the next decode. A hello
+		// closes the connection: sessions exist only to make appends
+		// idempotent, so a client opening one here is an appender that
+		// must dial elsewhere.
+		if m.Op == wire.OpIngestHello {
+			return s.closeConn(st.replies, why)
+		}
+		s.rejects.Add(1)
+		return st.replies.send(func(e *wire.Encoder) { e.IngestError(m.ID, why) })
+	}
+	if m.Op == wire.OpIngestHello {
+		return s.hello(st, m)
+	}
+	if st.session == "" {
+		return s.closeConn(st.replies, "batch before hello")
+	}
+	// The committer owns the acts buffer from here until the round that
+	// resolves this request is fully acked; the next decode draws a
+	// fresh buffer from the freelist.
+	req := request{id: m.ID, acts: m.Acts, batchSeq: m.BatchSeq}
+	st.msg.Acts = nil
+	s.requests.Add(1)
+	select {
+	case reqs <- req:
+		return true
+	case <-s.done:
+		// Drain began while the queue was full: this request was read
+		// but cannot be queued without blocking forever; drop it
+		// unacked, like an unread one.
+		return false
+	}
+}
+
+// refuseAppend is the one append-refusal decision: why this node will
+// not take the hello or batch m from a connection holding grant, or ""
+// to proceed. A read replica refuses every append op and names its
+// leader; a coordinator holds no log, so it refuses batches but still
+// answers hellos (every client handshakes on dial, query-only ones
+// included); otherwise Admit decides on identity and ownership.
+func (s *Server) refuseAppend(grant *auth.Grant, m *wire.IngestMsg) string {
+	switch {
+	case s.opts.LeaderAddr != "":
+		return "read-only replica: appends must go to the leader at " + s.opts.LeaderAddr
+	case s.store == nil && m.Op == wire.OpIngestBatch2:
+		return "coordinator: appends go to the partition leaders; fetch the cluster map and route by principal"
+	}
+	rej := Admit(grant, s.opts.Cluster, m.Acts)
+	if rej == nil {
+		return ""
+	}
+	if rej.Reason != RejectNotOwner {
+		s.opts.Auth.AppendRejects.Add(1)
+	}
+	return rej.Error()
+}
+
+// hello binds the connection to the idempotency session its handshake
+// names. It must precede every batch and come only once, so no batch
+// can be ambiguous about its session. The ack carries the session's
+// replay floor (0 on a coordinator, which holds no log).
+func (s *Server) hello(st *connState, m *wire.IngestMsg) bool {
+	switch {
+	case st.session != "":
+		return s.closeConn(st.replies, "duplicate hello")
+	case m.Version != wire.IngestV2:
+		return s.closeConn(st.replies, fmt.Sprintf("unsupported ingest protocol version %d", m.Version))
+	case m.Session == "":
+		return s.closeConn(st.replies, "empty session id")
+	}
+	st.session = m.Session
+	s.sessions.Add(1)
+	floor := uint64(0)
+	if s.store != nil {
+		floor = s.store.Sessions().Max(st.session)
+	}
+	return st.replies.send(func(e *wire.Encoder) { e.IngestHelloAck(wire.IngestV2, floor) })
 }
 
 // handleClusterMsg answers one cluster-family message from the reader:
@@ -789,19 +750,16 @@ func (s *Server) readLoop(st *connState, reqs chan<- request, cq *connQueries) r
 func (s *Server) handleClusterMsg(replies *replyWriter, env []byte) bool {
 	m, err := wire.DecodeCluster(env)
 	if err != nil {
-		replies.sendError(0, fmt.Sprintf("closing: bad cluster message: %v", err))
-		s.connFails.Add(1)
-		return false
+		return s.closeConn(replies, fmt.Sprintf("bad cluster message: %v", err))
 	}
 	if m.Op != wire.OpClusterMapReq || m.ID == 0 {
-		replies.sendError(0, fmt.Sprintf("closing: unexpected cluster opcode %#x from client", m.Op))
-		s.connFails.Add(1)
-		return false
+		return s.closeConn(replies, fmt.Sprintf("unexpected cluster opcode %#x from client", m.Op))
 	}
+	cm, errMsg := wire.ClusterMap{}, "cluster: no partition map configured on this node"
 	if cv := s.opts.Cluster; cv != nil {
-		return replies.sendClusterMap(m.ID, cv.WireMap(), "")
+		cm, errMsg = cv.WireMap(), ""
 	}
-	return replies.sendClusterMap(m.ID, wire.ClusterMap{}, "cluster: no partition map configured on this node")
+	return replies.send(func(e *wire.Encoder) { e.ClusterMapResp(m.ID, cm, errMsg) })
 }
 
 // isConnKick reports whether a read error is the expected end of a
@@ -881,12 +839,6 @@ const (
 	oAlias
 )
 
-// dedupKey identifies one sessioned batch inside a commit round.
-type dedupKey struct {
-	session  string
-	batchSeq uint64
-}
-
 // commitScratch is a committer's round-scoped working memory, owned by
 // the connection and reused round after round (serve cycles never
 // overlap, so a single instance per connection suffices). Everything
@@ -898,7 +850,7 @@ type commitScratch struct {
 	toCommit []int
 	all      []logs.Action
 	entries  []wire.SessionEntry
-	claimed  map[dedupKey]int
+	claimed  map[uint64]int // batch sequence → first round index holding it
 }
 
 // commitRound appends one coalesced round (cs.round) and writes its
@@ -907,16 +859,16 @@ type commitScratch struct {
 // connection's freelist: the store has copied the actions it kept, the
 // acks are on the wire, and nothing references the buffers again.
 //
-// Sessioned requests go through the store's session table first: a
-// batch sequence the table holds is re-acked with its original block
-// (never re-appended), one outside the dedup window is rejected, and
-// everything genuinely new is committed and then checkpointed — entry
-// before ack — under the table lock, so a replay racing its original
-// commit on another connection blocks and then dedups. Store work runs
-// first and replies are written afterwards, preserving round order.
+// Every request goes through the store's session table first, under
+// the connection's session: a batch sequence the table holds is
+// re-acked with its original block (never re-appended), one outside
+// the dedup window is rejected, and everything genuinely new is
+// committed and then checkpointed — entry before ack — under the table
+// lock, so a replay racing its original commit on another connection
+// blocks and then dedups. Store work runs first and replies are written
+// afterwards, preserving round order.
 func (s *Server) commitRound(st *connState, cs *commitScratch) bool {
-	replies := st.replies
-	round := cs.round
+	round, session := cs.round, st.session
 	outcomes := cs.outcomes[:0]
 	for range round {
 		outcomes = append(outcomes, outcome{})
@@ -924,55 +876,37 @@ func (s *Server) commitRound(st *connState, cs *commitScratch) bool {
 	cs.outcomes = outcomes
 	fatal := "" // set: the connection must close after the resolved replies
 
-	sessioned := false
-	for i := range round {
-		if round[i].session != "" {
-			sessioned = true
-			break
-		}
-	}
-	var tab *store.Sessions
-	if sessioned {
-		tab = s.store.Sessions()
-		tab.Lock()
-	}
+	tab := s.store.Sessions()
+	tab.Lock()
 
 	// Classify: replays and evictions resolve now; the rest commits.
 	// Claims are strictly intra-round (committed rounds are visible via
 	// the table itself), so the map clears between rounds.
-	claimed := cs.claimed
-	if claimed != nil {
-		clear(claimed)
+	if cs.claimed == nil {
+		cs.claimed = make(map[uint64]int)
 	}
+	claimed := cs.claimed
+	clear(claimed)
 	toCommit := cs.toCommit[:0]
 	for i, r := range round {
-		if r.session == "" {
-			toCommit = append(toCommit, i)
-			continue
-		}
-		if claimed == nil {
-			claimed = make(map[dedupKey]int)
-			cs.claimed = claimed
-		}
-		key := dedupKey{r.session, r.batchSeq}
-		if j, dup := claimed[key]; dup {
+		if j, dup := claimed[r.batchSeq]; dup {
 			// The same batch sequence twice in one round (a client bug,
 			// or a replay racing its original through one connection):
 			// resolve to whatever its twin gets.
 			outcomes[i] = outcome{kind: oAlias, alias: j}
 			continue
 		}
-		base, count, res := tab.LookupLocked(r.session, r.batchSeq)
+		base, count, res := tab.LookupLocked(session, r.batchSeq)
 		switch res {
 		case store.SessionReplay:
 			outcomes[i] = outcome{kind: oAck, base: base, count: count}
 			s.dedupReplays.Add(1)
 			s.dedupRecords.Add(uint64(len(r.acts)))
 		case store.SessionEvicted:
-			outcomes[i] = outcome{kind: oReject, msg: fmt.Sprintf("batch seq %d of session %q evicted from dedup window: commit state unknowable", r.batchSeq, r.session)}
+			outcomes[i] = outcome{kind: oReject, msg: fmt.Sprintf("batch seq %d of session %q evicted from dedup window: commit state unknowable", r.batchSeq, session)}
 			s.dedupEvicted.Add(1)
 		default:
-			claimed[key] = i
+			claimed[r.batchSeq] = i
 			toCommit = append(toCommit, i)
 		}
 	}
@@ -980,11 +914,9 @@ func (s *Server) commitRound(st *connState, cs *commitScratch) bool {
 
 	entries := cs.entries[:0]
 	record := func(i int, base uint64) {
-		r := round[i]
-		outcomes[i] = outcome{kind: oAck, base: base, count: uint64(len(r.acts))}
-		if r.session != "" {
-			entries = append(entries, wire.SessionEntry{Session: r.session, BatchSeq: r.batchSeq, Base: base, Count: uint64(len(r.acts))})
-		}
+		n := uint64(len(round[i].acts))
+		outcomes[i] = outcome{kind: oAck, base: base, count: n}
+		entries = append(entries, wire.SessionEntry{Session: session, BatchSeq: round[i].batchSeq, Base: base, Count: n})
 	}
 	if len(toCommit) > 0 {
 		all := cs.all[:0]
@@ -1037,20 +969,18 @@ func (s *Server) commitRound(st *connState, cs *commitScratch) bool {
 	}
 	if len(entries) > 0 {
 		// Checkpoint before any ack leaves the process: a re-ack after
-		// restart is only trustworthy if every acked sessioned batch has
-		// its entry on disk first. A failed checkpoint does not undo the
-		// commit — the acks below stay truthful — it just loses replay
-		// protection for these batches, which the counter surfaces.
+		// restart is only trustworthy if every acked batch has its entry
+		// on disk first. A failed checkpoint does not undo the commit —
+		// the acks below stay truthful — it just loses replay protection
+		// for these batches, which the counter surfaces.
 		if err := tab.AppendLocked(entries); err != nil {
 			s.checkpointFails.Add(uint64(len(entries)))
 		}
 	}
-	if sessioned {
-		tab.Unlock()
-	}
+	tab.Unlock()
 	cs.entries = entries
 
-	usable := s.writeRoundReplies(replies, round, outcomes, fatal)
+	usable := s.writeRoundReplies(st.replies, round, outcomes, fatal)
 
 	// Every request is now resolved with its replies on the wire (or
 	// the connection is condemned): the store copied what it kept, so

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,14 +29,31 @@ func newTestServer(t *testing.T, opts Options) (*Server, *store.Store, string) {
 	return srv, st, addr
 }
 
+// rawConn is a hand-rolled client speaking frames directly, so a test
+// controls exactly what crosses the wire and sees exactly what returns.
 type rawConn struct {
 	t   *testing.T
 	c   net.Conn
 	enc *wire.StreamEncoder
 	dec *wire.StreamDecoder
+	seq uint64 // the last batch sequence sendBatch used
 }
 
+// rawSessions numbers the sessions dialRaw opens, one per connection.
+var rawSessions atomic.Uint64
+
+// dialRaw connects and completes the session handshake under a fresh
+// session, leaving the connection ready for batches.
 func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	rc := dialBare(t, addr)
+	rc.handshake(fmt.Sprintf("raw-%d", rawSessions.Add(1)))
+	return rc
+}
+
+// dialBare connects without a handshake, for tests that choreograph
+// the hello themselves.
+func dialBare(t *testing.T, addr string) *rawConn {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -45,13 +63,21 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 	return &rawConn{t: t, c: c, enc: wire.NewStreamEncoder(c), dec: wire.NewStreamDecoder(c)}
 }
 
-func (rc *rawConn) sendBatch(id uint64, acts []logs.Action) {
+// frame writes one envelope built by build, without flushing.
+func (rc *rawConn) frame(build func(*wire.Encoder)) {
 	rc.t.Helper()
 	e := wire.NewEncoder()
-	e.IngestBatch(id, acts)
+	build(e)
 	if err := rc.enc.Envelope(e.Bytes()); err != nil {
 		rc.t.Fatal(err)
 	}
+}
+
+// sendBatch sends a batch under the connection's next batch sequence.
+func (rc *rawConn) sendBatch(id uint64, acts []logs.Action) {
+	rc.t.Helper()
+	rc.seq++
+	rc.sendBatch2(id, rc.seq, acts)
 }
 
 func (rc *rawConn) flush() {

@@ -26,52 +26,35 @@ import (
 	"repro/internal/wire"
 )
 
-// sendSnapshot writes and flushes one snapshot frame built by the
-// caller, reporting write success.
-func (rw *replyWriter) sendSnapshot(build func(*wire.Encoder)) bool {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	if !rw.write(build) {
-		return false
-	}
-	return rw.enc.Flush() == nil
-}
-
 // handleSnapshotMsg dispatches one snapshot-family message from the
 // reader, reporting whether the connection is still trustworthy. A
 // snapshot ships the whole unredacted log, so a grant must hold the
 // replica role — read alone is not enough.
 func (s *Server) handleSnapshotMsg(cq *connQueries, replies *replyWriter, env []byte, grant *auth.Grant) bool {
+	if s.store == nil {
+		return s.closeConn(replies, "coordinator serves no snapshots; bootstrap from a partition leader")
+	}
 	m, err := wire.DecodeSnapshot(env)
 	if err != nil {
-		replies.sendError(0, fmt.Sprintf("closing: bad snapshot message: %v", err))
-		s.connFails.Add(1)
-		return false
+		return s.closeConn(replies, fmt.Sprintf("bad snapshot message: %v", err))
 	}
 	if m.Op != wire.OpSnapshot {
 		// Meta, chunks, sessions and ends only flow server → client.
-		replies.sendError(0, fmt.Sprintf("closing: unexpected snapshot opcode %#x from client", m.Op))
-		s.connFails.Add(1)
-		return false
+		return s.closeConn(replies, fmt.Sprintf("unexpected snapshot opcode %#x from client", m.Op))
 	}
 	if m.ID == 0 {
-		replies.sendError(0, "closing: snapshot id 0 is reserved")
-		s.connFails.Add(1)
-		return false
+		return s.closeConn(replies, "snapshot id 0 is reserved")
 	}
 	if grant != nil && !grant.CanReplicate() {
 		s.queryRejects.Add(1)
 		s.opts.Auth.SnapshotRejects.Add(1)
-		replies.sendSnapshot(func(e *wire.Encoder) {
-			e.SnapshotEnd(m.ID, 0, fmt.Sprintf("identity %q lacks the replica role", grant.Name))
-		})
-		return true
+		msg := fmt.Sprintf("identity %q lacks the replica role", grant.Name)
+		return replies.send(func(e *wire.Encoder) { e.SnapshotEnd(m.ID, 0, msg) })
 	}
 	cancel, err := cq.register(m.ID, s.opts.MaxQueriesPerConn)
 	if err != nil {
 		s.queryRejects.Add(1)
-		replies.sendSnapshot(func(e *wire.Encoder) { e.SnapshotEnd(m.ID, 0, err.Error()) })
-		return true
+		return replies.send(func(e *wire.Encoder) { e.SnapshotEnd(m.ID, 0, err.Error()) })
 	}
 	s.snapshots.Add(1)
 	cq.wg.Add(1)
@@ -81,21 +64,6 @@ func (s *Server) handleSnapshotMsg(cq *connQueries, replies *replyWriter, env []
 		s.runSnapshot(cq, replies, id, cancel)
 	}(m.ID)
 	return true
-}
-
-// snapshotStopped reports whether the snapshot should end early
-// (client cancel, reader gone, or server drain).
-func snapshotStopped(cq *connQueries, s *Server, cancel chan struct{}) bool {
-	select {
-	case <-cancel:
-		return true
-	case <-cq.done:
-		return true
-	case <-s.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // runSnapshot streams one snapshot transfer: pin the ceiling, page the
@@ -113,13 +81,15 @@ func (s *Server) runSnapshot(cq *connQueries, replies *replyWriter, id uint64, c
 	}
 	// Sizing hint only; racing appends make the record count approximate.
 	total := min(uint64(s.store.Counts().Records), ceil)
-	if !replies.sendSnapshot(func(e *wire.Encoder) { e.SnapshotMeta(id, ceil, total, uint64(len(entries))) }) {
+	if !replies.send(func(e *wire.Encoder) { e.SnapshotMeta(id, ceil, total, uint64(len(entries))) }) {
 		return
 	}
+	end := func(msg string) { replies.send(func(e *wire.Encoder) { e.SnapshotEnd(id, ceil, msg) }) }
+	chunk := func(e *wire.Encoder, recs []wire.Record) { e.SnapshotChunk(id, recs) }
 	from := uint64(0)
 	for {
-		if snapshotStopped(cq, s, cancel) {
-			replies.sendSnapshot(func(e *wire.Encoder) { e.SnapshotEnd(id, ceil, "snapshot cancelled") })
+		if s.stopped(cq, cancel) {
+			end("snapshot cancelled")
 			return
 		}
 		recs := s.store.ScanGlobal(from, ceil, maxChunkRecs)
@@ -127,34 +97,19 @@ func (s *Server) runSnapshot(cq *connQueries, replies *replyWriter, id uint64, c
 			break
 		}
 		from = recs[len(recs)-1].Seq + 1
-		// Split by count and encoded size, like the query path, so no
-		// frame outgrows the stream codec's bound.
-		for len(recs) > 0 {
-			n, bytes := 0, 0
-			for n < len(recs) && n < wire.MaxSnapshotChunk {
-				sz := estSize(recs[n])
-				if n > 0 && bytes+sz > chunkBytes {
-					break
-				}
-				bytes += sz
-				n++
-			}
-			if !replies.sendSnapshot(func(e *wire.Encoder) { e.SnapshotChunk(id, recs[:n]) }) {
-				return
-			}
-			s.snapshotRecords.Add(uint64(n))
-			recs = recs[n:]
+		if !sendChunks(replies, recs, &s.snapshotRecords, chunk) {
+			return
 		}
 	}
 	for off := 0; off < len(entries); off += wire.MaxSnapshotSessions {
-		if snapshotStopped(cq, s, cancel) {
-			replies.sendSnapshot(func(e *wire.Encoder) { e.SnapshotEnd(id, ceil, "snapshot cancelled") })
+		if s.stopped(cq, cancel) {
+			end("snapshot cancelled")
 			return
 		}
-		end := min(off+wire.MaxSnapshotSessions, len(entries))
-		if !replies.sendSnapshot(func(e *wire.Encoder) { e.SnapshotSessions(id, entries[off:end]) }) {
+		batch := entries[off:min(off+wire.MaxSnapshotSessions, len(entries))]
+		if !replies.send(func(e *wire.Encoder) { e.SnapshotSessions(id, batch) }) {
 			return
 		}
 	}
-	replies.sendSnapshot(func(e *wire.Encoder) { e.SnapshotEnd(id, ceil, "") })
+	end("")
 }

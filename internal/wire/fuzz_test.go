@@ -125,7 +125,7 @@ func FuzzPooledDecodeIngest(f *testing.F) {
 		logs.RcvAct("bob", logs.NameT("ch"), logs.VarT("x")),
 	})
 	f.Add(append([]byte(nil), good.Bytes()...))
-	f.Add([]byte{magicHi, magicLo, version, OpIngestBatch, 0x01, 0xFF})
+	f.Add([]byte{magicHi, magicLo, version, 0x21, 0x01, 0xFF}) // the retired v1 batch
 	f.Add([]byte{magicHi, magicLo, version})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		it := NewInterner()
@@ -168,7 +168,7 @@ func FuzzPooledDecodeIngest(f *testing.F) {
 // frames as one that never released.
 func FuzzStreamRelease(f *testing.F) {
 	e := NewEncoder()
-	e.IngestBatch(1, []logs.Action{logs.SndAct("p", logs.NameT("m"), logs.NameT("v"))})
+	e.IngestBatch2(1, 1, []logs.Action{logs.SndAct("p", logs.NameT("m"), logs.NameT("v"))})
 	var frames bytes.Buffer
 	se := NewStreamEncoder(&frames)
 	se.Envelope(e.Bytes())

@@ -5,12 +5,11 @@ package wire
 // frame (stream.go) whose envelope payload is:
 //
 //	ingest   := op(1) body
-//	batch    := uvarint(id) uvarint(n) action*n                client → server  (v1)
 //	ack      := uvarint(id) uvarint(base) uvarint(n)           server → client
 //	error    := uvarint(id) string(msg)                        server → client
-//	hello    := uvarint(proto) string(session)                 client → server  (v2)
-//	helloack := uvarint(proto) uvarint(maxBatchSeq)            server → client  (v2)
-//	batch2   := uvarint(id) uvarint(batchSeq) uvarint(n) action*n  client → server  (v2)
+//	hello    := uvarint(proto) string(session)                 client → server
+//	helloack := uvarint(proto) uvarint(maxBatchSeq)            server → client
+//	batch2   := uvarint(id) uvarint(batchSeq) uvarint(n) action*n  client → server
 //	auth     := string(token)                                  client → server
 //
 // id is a client-assigned request identifier, opaque to the server and
@@ -31,14 +30,15 @@ package wire
 // a TLS connection identity comes from the client certificate and the
 // frame is accepted and ignored, so clients can send it uniformly.
 //
-// The v2 handshake upgrades delivery to exactly-once: hello names a
-// client-chosen idempotency session, and every batch2 carries the
-// session's monotonic batch sequence number, so the server can
+// Delivery is exactly-once: a connection's hello names a client-chosen
+// idempotency session before its first batch, and every batch2 carries
+// the session's monotonic batch sequence number, so the server can
 // recognise a replayed batch and re-ack its original sequence block
 // instead of appending it again. The helloack tells a resuming client
 // the highest batch sequence the server has committed for the session
-// (0 = none). The v1 batch message stays fully decodable and accepted;
-// it simply gets no replay protection.
+// (0 = none). Opcode 0x21, the sessionless batch of protocol revision
+// 1, is retired: it no longer decodes (ErrBadTag) and is never to be
+// reused.
 
 import (
 	"fmt"
@@ -46,9 +46,8 @@ import (
 	"repro/internal/logs"
 )
 
-// Ingest opcodes.
+// Ingest opcodes. 0x21 is retired (see above).
 const (
-	OpIngestBatch    byte = 0x21
 	OpIngestAck      byte = 0x22
 	OpIngestError    byte = 0x23
 	OpIngestHello    byte = 0x24
@@ -61,9 +60,8 @@ const (
 // every auth-map entry worth comparing it against — small.
 const MaxTokenLen = 256
 
-// IngestV2 is the protocol revision the session handshake negotiates.
-// (Revision 1, the sessionless protocol, has no hello message at all: a
-// v1 client just starts sending batch frames.)
+// IngestV2 is the protocol revision the session handshake negotiates,
+// and the only one served.
 const IngestV2 = 2
 
 // MaxSessionLen bounds the ingest session identifier, keeping hello
@@ -84,25 +82,15 @@ type IngestMsg struct {
 	Base     uint64        // OpIngestAck: first assigned sequence number
 	Count    uint64        // OpIngestAck: size of the assigned block
 	Msg      string        // OpIngestError: what the server rejected
-	Acts     []logs.Action // OpIngestBatch/OpIngestBatch2: the actions to append
+	Acts     []logs.Action // OpIngestBatch2: the actions to append
 	Version  uint64        // OpIngestHello/OpIngestHelloAck: negotiated protocol revision
 	Session  string        // OpIngestHello: the client's idempotency session
 	BatchSeq uint64        // OpIngestBatch2: per-session batch sequence; OpIngestHelloAck: highest committed batch sequence (0 = none)
 	Token    string        // OpIngestAuth: the cleartext authentication token
 }
 
-// IngestBatch encodes a v1 (sessionless) client append request.
-func (e *Encoder) IngestBatch(id uint64, acts []logs.Action) {
-	e.byte(OpIngestBatch)
-	e.uvarint(id)
-	e.uvarint(uint64(len(acts)))
-	for _, a := range acts {
-		e.Action(a)
-	}
-}
-
-// IngestHello encodes the v2 session handshake: the first frame a
-// sessioned client sends on every connection. Sessions longer than
+// IngestHello encodes the session handshake, which a client sends on
+// every connection before its first batch. Sessions longer than
 // MaxSessionLen are truncated so the frame always round-trips the
 // codec's bound (servers reject such sessions anyway).
 func (e *Encoder) IngestHello(version uint64, session string) {
@@ -124,9 +112,9 @@ func (e *Encoder) IngestHelloAck(version, maxBatchSeq uint64) {
 	e.uvarint(maxBatchSeq)
 }
 
-// IngestBatch2 encodes a v2 append request: a v1 batch plus the
-// session's monotonic batch sequence number, the key the server's
-// dedup window recognises replays by.
+// IngestBatch2 encodes an append request: the request id, the
+// session's monotonic batch sequence number (the key the server's
+// dedup window recognises replays by) and the actions.
 func (e *Encoder) IngestBatch2(id, batchSeq uint64, acts []logs.Action) {
 	e.byte(OpIngestBatch2)
 	e.uvarint(id)
@@ -138,13 +126,10 @@ func (e *Encoder) IngestBatch2(id, batchSeq uint64, acts []logs.Action) {
 }
 
 // IngestAuth encodes the cleartext authentication frame: the first
-// frame a token-authenticated client sends on every connection. Tokens
-// longer than MaxTokenLen are truncated so the frame always
-// round-trips the codec's bound (servers reject such tokens anyway).
+// frame a token-authenticated client sends on every connection. An
+// identity map admits no token longer than MaxTokenLen (auth.Map.Add),
+// so every token worth sending fits the decoder's bound.
 func (e *Encoder) IngestAuth(token string) {
-	if len(token) > MaxTokenLen {
-		token = token[:MaxTokenLen]
-	}
 	e.byte(OpIngestAuth)
 	e.string(token)
 }
@@ -225,11 +210,9 @@ func (d *Decoder) IngestInto(m *IngestMsg) error {
 		return err
 	}
 	switch op {
-	case OpIngestBatch, OpIngestBatch2:
-		if op == OpIngestBatch2 {
-			if m.BatchSeq, err = d.uvarint(); err != nil {
-				return err
-			}
+	case OpIngestBatch2:
+		if m.BatchSeq, err = d.uvarint(); err != nil {
+			return err
 		}
 		n, err := d.uvarint()
 		if err != nil {

@@ -14,20 +14,31 @@ func encodeIngest(build func(e *Encoder)) []byte {
 	return e.Bytes()
 }
 
+// retiredV1Batch is a well-formed batch of the retired sessionless
+// protocol: opcode 0x21, id, count, actions.
+func retiredV1Batch() []byte {
+	return encodeIngest(func(e *Encoder) {
+		e.byte(0x21)
+		e.uvarint(1)
+		e.uvarint(1)
+		e.Action(logs.SndAct("a", logs.NameT("m"), logs.NameT("v")))
+	})
+}
+
 // TestIngestBatchRoundTrip: a batch request survives the codec with its
-// id, order and every action intact.
+// id, batch sequence, order and every action intact.
 func TestIngestBatchRoundTrip(t *testing.T) {
 	acts := []logs.Action{
 		logs.SndAct("alice", logs.NameT("m"), logs.NameT("v")),
 		logs.RcvAct("bob", logs.NameT("m"), logs.VarT("x")),
 		{Principal: "carol", Kind: logs.IfT, A: logs.NameT("c"), B: logs.UnknownT()},
 	}
-	env := encodeIngest(func(e *Encoder) { e.IngestBatch(7, acts) })
+	env := encodeIngest(func(e *Encoder) { e.IngestBatch2(7, 13, acts) })
 	m, err := DecodeIngest(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Op != OpIngestBatch || m.ID != 7 || len(m.Acts) != len(acts) {
+	if m.Op != OpIngestBatch2 || m.ID != 7 || m.BatchSeq != 13 || len(m.Acts) != len(acts) {
 		t.Fatalf("got %+v", m)
 	}
 	for i := range acts {
@@ -59,16 +70,20 @@ func TestIngestAckErrorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIngestDecodeRejects: bad opcodes, oversized counts and trailing
-// bytes are errors, not misparses.
+// TestIngestDecodeRejects: bad opcodes — the retired v1 batch among
+// them — oversized counts and trailing bytes are errors, not misparses.
 func TestIngestDecodeRejects(t *testing.T) {
 	bad := encodeIngest(func(e *Encoder) { e.byte(0x77); e.uvarint(1) })
 	if _, err := DecodeIngest(bad); !errors.Is(err, ErrBadTag) {
 		t.Fatalf("bad op: got %v", err)
 	}
+	if _, err := DecodeIngest(retiredV1Batch()); !errors.Is(err, ErrBadTag) {
+		t.Fatalf("retired v1 batch: got %v", err)
+	}
 
 	big := encodeIngest(func(e *Encoder) {
-		e.byte(OpIngestBatch)
+		e.byte(OpIngestBatch2)
+		e.uvarint(1)
 		e.uvarint(1)
 		e.uvarint(MaxIngestBatch + 1)
 	})
@@ -82,9 +97,8 @@ func TestIngestDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestIngestHandshakeRoundTrip: the v2 hello/helloack handshake and
-// sessioned batch survive the codec with session, sequence and actions
-// intact.
+// TestIngestHandshakeRoundTrip: the hello/helloack handshake survives
+// the codec with revision, session and replay floor intact.
 func TestIngestHandshakeRoundTrip(t *testing.T) {
 	m, err := DecodeIngest(encodeIngest(func(e *Encoder) { e.IngestHello(IngestV2, "sess-abc") }))
 	if err != nil {
@@ -100,23 +114,6 @@ func TestIngestHandshakeRoundTrip(t *testing.T) {
 	}
 	if m.Op != OpIngestHelloAck || m.Version != IngestV2 || m.BatchSeq != 41 {
 		t.Fatalf("helloack: got %+v", m)
-	}
-
-	acts := []logs.Action{
-		logs.SndAct("alice", logs.NameT("m"), logs.NameT("v")),
-		logs.RcvAct("bob", logs.NameT("m"), logs.VarT("x")),
-	}
-	m, err = DecodeIngest(encodeIngest(func(e *Encoder) { e.IngestBatch2(7, 13, acts) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Op != OpIngestBatch2 || m.ID != 7 || m.BatchSeq != 13 || len(m.Acts) != len(acts) {
-		t.Fatalf("batch2: got %+v", m)
-	}
-	for i := range acts {
-		if m.Acts[i] != acts[i] {
-			t.Fatalf("action %d: got %+v want %+v", i, m.Acts[i], acts[i])
-		}
 	}
 }
 
@@ -161,14 +158,13 @@ func TestSessionFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeIngest: hostile ingest envelopes — v1 batches, v2
-// handshakes, acks, errors — error instead of panicking or
-// over-reading, and whatever decodes re-encodes to an envelope that
-// decodes to the same message (codec idempotence on the valid subset).
+// FuzzDecodeIngest: hostile ingest envelopes — batches, handshakes,
+// acks, errors, the retired v1 batch — error instead of panicking or
+// over-reading, the retired opcode never decodes, and whatever decodes
+// re-encodes to an envelope that decodes to the same message (codec
+// idempotence on the valid subset).
 func FuzzDecodeIngest(f *testing.F) {
-	f.Add(encodeIngest(func(e *Encoder) {
-		e.IngestBatch(1, []logs.Action{logs.SndAct("a", logs.NameT("m"), logs.NameT("v"))})
-	}))
+	f.Add(retiredV1Batch())
 	f.Add(encodeIngest(func(e *Encoder) { e.IngestAck(2, 50, 4) }))
 	f.Add(encodeIngest(func(e *Encoder) { e.IngestError(3, "nope") }))
 	f.Add(encodeIngest(func(e *Encoder) { e.IngestHello(IngestV2, "s-1") }))
@@ -177,17 +173,18 @@ func FuzzDecodeIngest(f *testing.F) {
 	f.Add(encodeIngest(func(e *Encoder) {
 		e.IngestBatch2(4, 11, []logs.Action{logs.RcvAct("b", logs.NameT("m"), logs.VarT("x"))})
 	}))
-	f.Add([]byte{magicHi, magicLo, version, OpIngestBatch, 0x01, 0xFF})
+	f.Add([]byte{magicHi, magicLo, version, 0x21, 0x01, 0xFF})
 	f.Add([]byte{magicHi, magicLo, version, OpIngestHello, 0x02, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeIngest(data)
 		if err != nil {
 			return
 		}
+		if m.Op == 0x21 {
+			t.Fatalf("retired v1 batch opcode decoded: %+v", m)
+		}
 		reenc := encodeIngest(func(e *Encoder) {
 			switch m.Op {
-			case OpIngestBatch:
-				e.IngestBatch(m.ID, m.Acts)
 			case OpIngestAck:
 				e.IngestAck(m.ID, m.Base, m.Count)
 			case OpIngestError:

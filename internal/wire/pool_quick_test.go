@@ -202,7 +202,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 				logs.NameT(fmt.Sprintf("ch%d", round)), logs.VarT(fmt.Sprintf("x%d", i)))
 		}
 		e := NewEncoder()
-		e.IngestBatch(uint64(round), acts)
+		e.IngestBatch2(uint64(round), uint64(round), acts)
 		env := e.Bytes()
 
 		if rng.Intn(3) == 0 {

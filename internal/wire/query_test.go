@@ -152,7 +152,7 @@ func TestPeekOpAndIsQueryOp(t *testing.T) {
 			t.Fatalf("op %#x not recognised as query", op)
 		}
 	}
-	for _, op := range []byte{OpIngestBatch, OpIngestAck, OpIngestHello, 0x30, 0x35} {
+	for _, op := range []byte{OpIngestBatch2, OpIngestAck, OpIngestHello, 0x30, 0x35} {
 		if IsQueryOp(op) {
 			t.Fatalf("op %#x misrecognised as query", op)
 		}

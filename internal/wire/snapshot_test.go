@@ -124,7 +124,7 @@ func TestIsSnapshotOp(t *testing.T) {
 			t.Fatalf("IsSnapshotOp(%#x) = false", op)
 		}
 	}
-	for _, op := range []byte{0x00, OpIngestBatch, OpQuery, OpQueryCancel, 0x46, 0xFF} {
+	for _, op := range []byte{0x00, OpIngestBatch2, OpQuery, OpQueryCancel, 0x46, 0xFF} {
 		if IsSnapshotOp(op) {
 			t.Fatalf("IsSnapshotOp(%#x) = true", op)
 		}
