@@ -150,7 +150,7 @@ func main() {
 		dedupWindow  = flag.Int("dedup-window", 1024, "per-session ingest dedup window (batch sequences remembered for replay re-acks)")
 		maxSessions  = flag.Int("max-sessions", 1024, "live ingest session cap (least-recently-used session evicted beyond it)")
 		grace        = flag.Duration("grace", 5*time.Second, "graceful shutdown timeout")
-		idlePark     = flag.Duration("idle-park", 2*time.Second, "park idle binary-ingest connections (drop their goroutines and buffers) after this much read silence; negative disables parking")
+		idlePark     = flag.Duration("idle-park", 2*time.Second, "park idle binary-ingest connections (release their buffers until the next byte) after this much read silence; must be positive")
 		replicaOf    = flag.String("replica-of", "", "run as a read replica of this leader binary ingest address (e.g. leader:7710)")
 		leaderHTTP   = flag.String("leader-http", "", "leader's HTTP base URL for write redirects in replica mode (e.g. http://leader:7709)")
 		tlsCert      = flag.String("tls-cert", "", "PEM server certificate; both surfaces serve TLS when set")
@@ -177,6 +177,9 @@ func main() {
 		return nil
 	})
 	flag.Parse()
+	if *idlePark <= 0 {
+		log.Fatal("provd: -idle-park must be positive")
+	}
 
 	// Secure by default: cleartext is a decision the operator must make
 	// explicitly, never a silent fallback.

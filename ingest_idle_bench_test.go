@@ -6,14 +6,15 @@ package repro_test
 // batch each) so every connection is fully active once, then waits for
 // every connection to idle-park. At that point it reports, per tier:
 //
-//	goroutines   — runtime.NumGoroutine() with all N conns parked. On
-//	               Linux (epoll parking) this must stay roughly flat in
-//	               N; the portable sentry fallback is one goroutine per
-//	               conn and shows up as a linear column.
+//	goroutines   — runtime.NumGoroutine() with all N conns parked: N +
+//	               O(1) by design, one sentry goroutine blocked in a
+//	               one-byte read per parked conn.
 //	heap-B/conn  — (heap-in-use parked − heap-in-use before dialing)/N,
 //	               after a forced GC. Includes the client half of each
 //	               loopback conn, so it is an upper bound on the
-//	               server-side cost.
+//	               server-side cost. Goroutine stacks are not heap.
+//	stack-B/conn — (stack-in-use parked − stack-in-use before dialing)/N,
+//	               after the same GC: what the sentries cost.
 //	p50-wake-ns,
 //	p99-wake-ns  — median and p99 of wake-to-ack: one batch sent to a
 //	               (re)parked conn, timed to its durable ack. The timed loop
@@ -161,7 +162,7 @@ func benchIdleConns(b *testing.B, n int) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	heapBefore := ms.HeapInuse
+	heapBefore, stackBefore := ms.HeapInuse, ms.StackInuse
 
 	// Dial and warm all N conns through a small worker pool: one batch
 	// each, acked, so every connection has been identified and has been
@@ -215,10 +216,14 @@ func benchIdleConns(b *testing.B, n int) {
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	goroutines := runtime.NumGoroutine()
-	heapPerConn := float64(0)
-	if ms.HeapInuse > heapBefore {
-		heapPerConn = float64(ms.HeapInuse-heapBefore) / float64(n)
+	perConn := func(after, before uint64) float64 {
+		if after <= before {
+			return 0
+		}
+		return float64(after-before) / float64(n)
 	}
+	heapPerConn := perConn(ms.HeapInuse, heapBefore)
+	stackPerConn := perConn(ms.StackInuse, stackBefore)
 
 	// Wake-to-ack: round-robin over the parked fleet, one small batch
 	// per op, timed to the durable ack.
@@ -243,5 +248,6 @@ func benchIdleConns(b *testing.B, n int) {
 	}
 	b.ReportMetric(float64(goroutines), "goroutines")
 	b.ReportMetric(heapPerConn, "heap-B/conn")
+	b.ReportMetric(stackPerConn, "stack-B/conn")
 	b.ReportMetric(float64(srv.Stats().Wakes), "wakes")
 }

@@ -31,11 +31,14 @@ type authFixture struct {
 	ca    *testutil.TestCA
 	guard *auth.Guard
 	st    *store.Store
+	srv   *ingest.Server
 	addr  string
 }
 
 // newAuthFixture starts a listener enforcing grants behind mutual TLS
-// (or cleartext token auth when serveTLS is false).
+// (or cleartext token auth when serveTLS is false). Connections park
+// after 20ms of silence, so any test that waits that long crosses a
+// park/wake cycle through the TLS layer.
 func newAuthFixture(t *testing.T, serveTLS bool, policy *trust.DisclosurePolicy, grants ...authGrant) *authFixture {
 	t.Helper()
 	ca, err := testutil.NewTestCA()
@@ -54,7 +57,7 @@ func newAuthFixture(t *testing.T, serveTLS bool, policy *trust.DisclosurePolicy,
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	opts := ingest.Options{Auth: guard, Policy: policy}
+	opts := ingest.Options{Auth: guard, Policy: policy, IdlePark: 20 * time.Millisecond}
 	if serveTLS {
 		conf, err := ca.ServerConfig("leader")
 		if err != nil {
@@ -68,7 +71,7 @@ func newAuthFixture(t *testing.T, serveTLS bool, policy *trust.DisclosurePolicy,
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	return &authFixture{ca: ca, guard: guard, st: st, addr: addr}
+	return &authFixture{ca: ca, guard: guard, st: st, srv: srv, addr: addr}
 }
 
 type authGrant struct {
@@ -214,6 +217,88 @@ func TestWireAuthPrincipalBound(t *testing.T) {
 	}
 	if got := f.guard.AppendRejects.Load(); got != 2 {
 		t.Fatalf("AppendRejects = %d, want 2", got)
+	}
+}
+
+// waitParked polls until exactly n connections are parked.
+func (f *authFixture) waitParked(t *testing.T, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for f.srv.Stats().Parked != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %d parked connections: %+v", n, f.srv.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWireAuthParkWake: an mTLS connection parks (its sentry reads
+// through the *tls.Conn), and the batch that wakes it is acked with the
+// next block; the identity's grant survives the park, so a batch
+// outside it is still refused.
+func TestWireAuthParkWake(t *testing.T) {
+	f := newAuthFixture(t, true, nil,
+		authGrant{Grant: auth.Grant{Name: "producer", Principals: []string{"alice"}, Roles: auth.RoleAppend}})
+	c := f.dialTLS(t, "producer")
+	c.hello("producer-1")
+	c.batch(1, sndAct("alice", 0))
+	first, err := c.readIngest()
+	if err != nil || first.Op != wire.OpIngestAck || first.ID != 1 {
+		t.Fatalf("first append: %+v %v", first, err)
+	}
+
+	f.waitParked(t, 1)
+	c.batch(2, sndAct("alice", 1))
+	m, err := c.readIngest()
+	if err != nil || m.Op != wire.OpIngestAck || m.ID != 2 || m.Base != first.Base+first.Count || m.Count != 1 {
+		t.Fatalf("post-park append: %+v %v (want base %d)", m, err, first.Base+first.Count)
+	}
+	if s := f.srv.Stats(); s.Parks == 0 || s.Wakes == 0 {
+		t.Fatalf("park cycle not counted: %+v", s)
+	}
+
+	f.waitParked(t, 1)
+	c.batch(3, sndAct("bob", 0))
+	if m, err = c.readIngest(); err != nil || m.Op != wire.OpIngestError || m.ID != 3 || !strings.Contains(m.Msg, `may not append as principal "bob"`) {
+		t.Fatalf("impersonation after park: %+v %v", m, err)
+	}
+	if n := len(f.st.ScanShardTail("alice", store.Filter{}, 0, -1)); n != 2 {
+		t.Fatalf("alice has %d records, want 2", n)
+	}
+	if n := len(f.st.ScanShardTail("bob", store.Filter{}, 0, -1)); n != 0 {
+		t.Fatalf("bob has %d records; impersonation committed", n)
+	}
+}
+
+// TestWireAuthParkedDrain: Close drains a parked mTLS connection — the
+// drain deadline fails the sentry's read through the TLS layer — and
+// leaks nothing.
+func TestWireAuthParkedDrain(t *testing.T) {
+	f := newAuthFixture(t, true, nil,
+		authGrant{Grant: auth.Grant{Name: "producer", Principals: []string{"alice"}, Roles: auth.RoleAppend}})
+	c := f.dialTLS(t, "producer")
+	c.hello("producer-1")
+	c.batch(1, sndAct("alice", 0))
+	if m, err := c.readIngest(); err != nil || m.Op != wire.OpIngestAck {
+		t.Fatalf("append: %+v %v", m, err)
+	}
+	f.waitParked(t, 1)
+
+	done := make(chan struct{})
+	go func() {
+		f.srv.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung on a parked mTLS connection")
+	}
+	if s := f.srv.Stats(); s.Active != 0 || s.Parked != 0 {
+		t.Fatalf("connection leaked through drain: %+v", s)
+	}
+	if _, err := c.readIngest(); err == nil {
+		t.Fatal("drained connection still open")
 	}
 }
 

@@ -1,18 +1,15 @@
 package ingest
 
-// Idle-connection parking: the piece of the listener that makes 10k
-// mostly-idle monitored middlewares cost approximately nothing.
+// Idle-connection parking: what lets one listener hold a fleet of
+// mostly-idle monitored middlewares without paying for their buffers.
 //
 // A connection that has been quiet for Options.IdlePark — nothing
 // buffered, nothing queued, no queries running — tears down its
-// reader/committer goroutine pair, releases its stream buffers back to
-// the wire pools, and registers its socket with a shared readiness
-// poller. On Linux that poller is one epoll instance (poller_linux.go)
-// watching every parked socket: a parked connection costs its file
-// descriptor and a connState, zero goroutines. Elsewhere (or when a
-// connection's fd cannot be extracted) a sentry goroutine performs a
-// single blocking one-byte read — still one goroutine instead of two,
-// and no 64 KiB buffer pair.
+// reader/committer goroutine pair and releases its stream buffers back
+// to the wire pools. What is left is its file descriptor, its connState
+// and one fresh sentry goroutine blocked in a one-byte read, parked on
+// Go's own netpoller: about 1–2 KB of stack instead of two grown
+// goroutines and a 64 KiB buffer pair.
 //
 // Parking happens only with the stream at a frame boundary (the
 // Peek-under-deadline probe in readLoop consumes nothing), so neither
@@ -23,20 +20,12 @@ package ingest
 // dedup position) intact in its connState.
 
 import (
-	"crypto/tls"
-	"errors"
 	"net"
 	"sync"
-	"syscall"
 
 	"repro/internal/auth"
 	"repro/internal/logs"
 	"repro/internal/wire"
-)
-
-var (
-	errPollerClosed      = errors.New("ingest: poller closed")
-	errPollerUnsupported = errors.New("ingest: no readiness poller on this platform")
 )
 
 // maxPooledActs bounds the capacity of an acts buffer the freelist
@@ -180,79 +169,32 @@ func (s *Server) isDraining() bool {
 	}
 }
 
-// poller lazily creates the shared readiness poller (nil where
-// unsupported, or once Close has claimed the init slot).
-func (s *Server) poller() *netPoller {
-	s.pollOnce.Do(func() {
-		if p, err := newNetPoller(s.wake); err == nil {
-			s.poll = p
-		}
-	})
-	return s.poll
-}
-
-// park transfers an idle connection from its serve cycle to the
-// poller. Called with both cycle goroutines already stopped and every
-// queued request acked, so the buffers being released are guaranteed
-// quiet.
+// park hands an idle connection from its serve cycle to a sentry: a
+// fresh goroutine blocked in a one-byte read of the connection (through
+// the *tls.Conn on TLS, so record decryption stays its business). The
+// byte, if one arrives, is pushed back into the decoder's source, so the
+// stream stays exactly at its frame boundary, and the sentry becomes the
+// next serve cycle. A read error wakes the connection too: the reborn
+// readLoop re-observes it (EOF and resets repeat; a drain kick re-fires
+// through the deadline Close set).
+//
+// Called with both cycle goroutines stopped and every queued request
+// acked, so the buffers being released are guaranteed quiet. The sentry
+// is fresh rather than the serve goroutine itself because a goroutine
+// that has run a serve cycle keeps its grown stack while it waits.
 func (s *Server) park(st *connState) {
 	st.dropScratch()
 	st.replies.release()
 	st.dec.ReleaseBuffers()
 	s.parks.Add(1)
 	s.parked.Add(1)
-	if p := s.poller(); p != nil {
-		if fd, ok := connFD(st.conn); ok {
-			if err := p.park(fd, st); err == nil {
-				return
-			}
-		}
-	}
-	// Portable fallback: a sentry goroutine blocked in a one-byte read.
-	// The byte (if one arrives) is pushed back into the decoder's
-	// source, so the stream stays exactly at its frame boundary. A
-	// read error wakes the connection too — the reborn readLoop
-	// re-observes it (EOF and resets repeat; a drain kick re-fires via
-	// the deadline already set by Close).
 	go func() {
 		var b [1]byte
-		n, _ := st.rd.c.Read(b[:])
-		if n == 1 {
-			st.rd.pb = b[0]
-			st.rd.has = true
+		if n, _ := st.conn.Read(b[:]); n == 1 {
+			st.rd.pb, st.rd.has = b[0], true
 		}
-		s.wake(st)
+		s.parked.Add(-1)
+		s.wakes.Add(1)
+		s.serveConn(st)
 	}()
-}
-
-// wake brings a parked connection back: a fresh serve cycle picks its
-// connState up exactly where park left it.
-func (s *Server) wake(st *connState) {
-	s.parked.Add(-1)
-	s.wakes.Add(1)
-	go s.serveConn(st)
-}
-
-// connFD extracts a connection's file descriptor for the poller. TLS
-// connections park by their underlying socket: a timed-out Peek proves
-// the tls.Conn holds no undelivered plaintext (its Read drains
-// buffered records before touching the socket), so readiness of the
-// socket is exactly readiness of the stream.
-func connFD(c net.Conn) (int, bool) {
-	if tc, ok := c.(*tls.Conn); ok {
-		c = tc.NetConn()
-	}
-	sc, ok := c.(syscall.Conn)
-	if !ok {
-		return 0, false
-	}
-	rc, err := sc.SyscallConn()
-	if err != nil {
-		return 0, false
-	}
-	fd := -1
-	if cerr := rc.Control(func(f uintptr) { fd = int(f) }); cerr != nil || fd < 0 {
-		return 0, false
-	}
-	return fd, true
 }

@@ -122,17 +122,13 @@ type Options struct {
 	// IdlePark is how long a connection must be quiet — nothing
 	// buffered, no queued requests, no running queries or follows —
 	// before its reader/committer goroutines are torn down and the
-	// socket is parked on a shared readiness poller (default 2s;
-	// negative disables parking). A parked connection costs its file
-	// descriptor and a small state record: its stream buffers go back
-	// to the wire pools and, on Linux, no goroutine watches it at all
-	// (one epoll instance watches every parked socket). The first byte
-	// from the peer wakes it; the wire protocol is untouched — parking
-	// happens only at a frame boundary, so neither side can observe it
-	// except as scheduling latency on the first frame after an idle
-	// gap. This is what lets one listener hold 10k mostly-idle
-	// monitored middlewares at approximately zero heap and goroutine
-	// cost.
+	// connection parks (default 2s). A parked connection costs its file
+	// descriptor, a small state record and one sentry goroutine blocked
+	// in a one-byte read (about 1–2 KB of stack): its stream buffers go
+	// back to the wire pools. The first byte from the peer wakes it; the
+	// wire protocol is untouched — parking happens only at a frame
+	// boundary, so neither side can observe it except as scheduling
+	// latency on the first frame after an idle gap.
 	IdlePark time.Duration
 	// Cluster, when set, is this node's view of the partition map
 	// (internal/cluster.Node). Two effects: the listener answers
@@ -180,7 +176,7 @@ func (o Options) withDefaults() Options {
 	if o.DrainWriteTimeout <= 0 {
 		o.DrainWriteTimeout = 5 * time.Second
 	}
-	if o.IdlePark == 0 {
+	if o.IdlePark <= 0 {
 		o.IdlePark = 2 * time.Second
 	}
 	return o
@@ -206,7 +202,7 @@ type Stats struct {
 	QueryRejects    uint64 // queries answered with a query-end error
 	Snapshots       uint64 // snapshot transfers started
 	SnapshotRecords uint64 // records served over snapshot chunks
-	Parked          uint64 // connections currently idle-parked (no reader/committer goroutines)
+	Parked          uint64 // connections currently idle-parked (a sentry read instead of a reader/committer pair)
 	Parks           uint64 // park transitions since start
 	Wakes           uint64 // parked connections woken by traffic (or drain)
 }
@@ -248,9 +244,6 @@ type Server struct {
 	parked          atomic.Int64
 	parks           atomic.Uint64
 	wakes           atomic.Uint64
-
-	pollOnce sync.Once
-	poll     *netPoller // nil until a connection first parks, or unsupported
 }
 
 // NewServer wraps a store in an ingest listener.
@@ -353,21 +346,20 @@ func (s *Server) Close() {
 	// still land, but a peer that stopped reading (a stalled follow
 	// consumer) cannot block its writer goroutines — and therefore this
 	// Wait — forever.
+	//
+	// Parked connections need no extra signal: they stay in s.conns, so
+	// the same read deadline fails their sentry's blocked read, and the
+	// woken cycle sees the drain. A connection parking concurrently is
+	// covered by ordering: done is closed before any deadline is set,
+	// and awaitFrame checks isDraining after clearing its own probe
+	// deadline — so either it sees the drain and closes, or its clear
+	// came first and the kick set here stays in force for the sentry.
 	now := time.Now()
 	for c := range s.conns {
 		c.SetReadDeadline(now)
 		c.SetWriteDeadline(now.Add(s.opts.DrainWriteTimeout))
 	}
 	s.mu.Unlock()
-	// Wake every parked connection so it can observe the drain and
-	// finish; a connection parking concurrently finds the poller closed,
-	// falls back to its sentry probe, and is kicked by the deadline set
-	// above. Sentry-parked connections need no extra signal — the
-	// deadline fails their blocked probe read directly.
-	s.pollOnce.Do(func() {}) // claim the init slot: no poller springs up after this
-	if p := s.poll; p != nil {
-		p.close()
-	}
 	s.wg.Wait()
 }
 
@@ -420,8 +412,8 @@ func (s *Server) handle(conn net.Conn) {
 // serveConn runs one serve cycle — a reader/committer goroutine pair —
 // over an identified connection, repeating after each wake until the
 // connection ends or parks. Parking tears the pair down entirely; the
-// poller (or sentry probe) calls serveConn again when bytes arrive, so
-// an idle connection's whole server-side presence is its connState.
+// sentry calls serveConn again when bytes arrive, so an idle
+// connection's server-side presence is its connState and its sentry.
 func (s *Server) serveConn(st *connState) {
 	reqs := make(chan request, s.opts.Queue)
 	cq := newConnQueries()
@@ -438,7 +430,7 @@ func (s *Server) serveConn(st *connState) {
 	<-committerDone // committed, acked and flushed — park/close is now graceful
 
 	if verdict == readPark {
-		s.park(st) // a poller event (or the sentry probe) re-runs serveConn
+		s.park(st) // the sentry re-runs serveConn
 		return
 	}
 	s.finish(st)
@@ -582,14 +574,14 @@ func (s *Server) readLoop(st *connState, reqs chan<- request, cq *connQueries) r
 	}
 }
 
-// awaitFrame is the idle probe: with parking on and nothing buffered it
-// waits up to IdlePark for the next frame's first byte, with Peek(1)
+// awaitFrame is the idle probe: with nothing buffered it waits up to
+// IdlePark for the next frame's first byte, with Peek(1)
 // under a read deadline. A peek that times out has consumed nothing, so
 // the stream is still exactly at a frame boundary — the one place a
 // connection can park (or drain) without either side losing protocol
 // state. It returns readFrame when a frame is there to read.
 func (s *Server) awaitFrame(st *connState, reqs chan<- request, cq *connQueries) readVerdict {
-	for s.opts.IdlePark > 0 && st.dec.Buffered() == 0 {
+	for st.dec.Buffered() == 0 {
 		if s.isDraining() {
 			// Nothing is buffered, so there is nothing left this reader
 			// owes the committer.
@@ -762,9 +754,10 @@ func (s *Server) handleClusterMsg(replies *replyWriter, env []byte) bool {
 	return replies.send(func(e *wire.Encoder) { e.ClusterMapResp(m.ID, cm, errMsg) })
 }
 
-// isConnKick reports whether a read error is the expected end of a
-// connection (drain deadline kick or a peer reset) rather than protocol
-// damage worth counting as a failure.
+// isConnKick reports whether a read error is a deadline expiry — the
+// idle probe's timeout or the drain kick Close sets — rather than
+// protocol damage worth counting as a failure. A peer reset is not a
+// kick.
 func isConnKick(err error) bool {
 	var nerr net.Error
 	return errors.As(err, &nerr) && nerr.Timeout()

@@ -13,11 +13,11 @@ package wire
 // Both directions are allocation-free in the steady state, and *cheap
 // while idle*: the bufio buffers and the decoder's frame buffer are
 // acquired lazily from shared pools (pool.go) and can be handed back
-// with ReleaseBuffers when a connection goes quiet — which is how the
-// ingest listener's idle-parking path keeps 10k parked connections at
-// approximately zero heap. After a release the next read or write
-// reacquires transparently; releasing is refused (silently skipped)
-// while buffered bytes would be lost.
+// with ReleaseBuffers when a connection goes quiet — which is why a
+// connection the ingest listener has idle-parked holds no stream
+// buffers. After a release the next read or write reacquires
+// transparently; releasing is refused (silently skipped) while
+// buffered bytes would be lost.
 
 import (
 	"bufio"
