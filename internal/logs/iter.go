@@ -41,37 +41,12 @@ func walkAll(l Log, yield func(Action) bool) bool {
 // Spine builds the linear log of a globally ordered action sequence given
 // oldest first — the shape the monitored semantics produces when every
 // reduction prepends its action. The most recent action ends up at the
-// head, as in §3.3.
+// head, as in §3.3. Deciding ≼ against a spine needs no Log at all: see
+// LeSpine.
 func Spine(acts []Action) Log {
-	b := NewBuilder()
+	l := Nil()
 	for _, a := range acts {
-		b.Append(a)
+		l = Prefix(a, l)
 	}
-	return b.Log()
+	return l
 }
-
-// Builder is the stream form of a linear log: it accumulates actions as
-// they happen (oldest first) and exposes the current spine at any point.
-// Append is O(1) and earlier snapshots share structure with later ones,
-// so an incremental auditor can hold the log at several instants without
-// copying.
-type Builder struct {
-	head Log
-	n    int
-}
-
-// NewBuilder returns a builder holding the empty log ∅.
-func NewBuilder() *Builder { return &Builder{head: Empty{}} }
-
-// Append records a new most-recent action.
-func (b *Builder) Append(a Action) {
-	b.head = &Pre{Act: a, Rest: b.head}
-	b.n++
-}
-
-// Log returns the current spine (most recent action at the head). The
-// returned log is immutable: later Appends do not affect it.
-func (b *Builder) Log() Log { return b.head }
-
-// Len returns the number of actions appended so far.
-func (b *Builder) Len() int { return b.n }

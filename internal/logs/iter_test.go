@@ -61,38 +61,3 @@ func TestSpineMatchesPrefixFold(t *testing.T) {
 		t.Fatalf("Spine = %s, want %s", got, want)
 	}
 }
-
-// TestBuilderSnapshots: earlier snapshots are immutable under later
-// appends, and each snapshot is ≼ every later one (the monitored log
-// only grows in information).
-func TestBuilderSnapshots(t *testing.T) {
-	acts := []Action{
-		SndAct("a", NameT("m"), NameT("v")),
-		RcvAct("b", NameT("m"), NameT("v")),
-		SndAct("b", NameT("n"), NameT("v")),
-		RcvAct("c", NameT("n"), NameT("v")),
-	}
-	b := NewBuilder()
-	var snaps []Log
-	snaps = append(snaps, b.Log())
-	for _, a := range acts {
-		b.Append(a)
-		snaps = append(snaps, b.Log())
-	}
-	if b.Len() != len(acts) {
-		t.Fatalf("Len = %d, want %d", b.Len(), len(acts))
-	}
-	if !Equal(snaps[len(snaps)-1], Spine(acts)) {
-		t.Fatalf("final snapshot differs from Spine")
-	}
-	for i := range snaps {
-		if Size(snaps[i]) != i {
-			t.Fatalf("snapshot %d has %d actions (mutated by later appends?)", i, Size(snaps[i]))
-		}
-		for j := i + 1; j < len(snaps); j++ {
-			if !Le(snaps[i], snaps[j]) {
-				t.Fatalf("snapshot %d not ≼ snapshot %d", i, j)
-			}
-		}
-	}
-}

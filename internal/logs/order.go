@@ -1,6 +1,9 @@
 package logs
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Le decides the information order φ ≼ ψ of §3.1 ("ψ tells us at least as
 // much about the past as φ"), defined as the smallest relation on closed
@@ -61,6 +64,68 @@ func lePre(l *Pre, psi Log) bool {
 	default:
 		panic(fmt.Sprintf("logs: lePre: unknown log %T", psi))
 	}
+}
+
+// LeSpine decides φ ≼ ψ where ψ is the spine of the actions at(0), …,
+// at(n-1), given oldest first: the same relation as
+// Le(φ, Spine([at(0) … at(n-1)])), decided without building ψ. Three
+// facts make that sound:
+//
+//   - a spine has no |, so Log-Comp2 never fires;
+//   - Log-Pre2 unrolls along the spine, so α;φ ≼ spine(n) holds iff some
+//     position q < n matches α (Log-Pre1) with φσ ≼ spine(q), the actions
+//     older than q;
+//   - instantiate requires a non-variable term to be equal, so a position
+//     whose B term differs from α's cannot match.
+//
+// idx maps a B term to the ascending positions holding it; only those
+// positions are tried, newest first below n. A nil idx, or a variable B
+// on the left (which ⟦−⟧ never leaves after substitution), falls back
+// to trying every position below n. An audit therefore costs the claim's
+// size times its candidate positions, not the log's length, and the
+// recursion is as deep as the claim, never as the log. Le stays the
+// reference, and the decision for logs that are trees.
+func LeSpine(phi Log, n int, at func(int) Action, idx map[Term][]int32) bool {
+	return spine{at: at, idx: idx}.le(phi, n)
+}
+
+type spine struct {
+	at  func(int) Action
+	idx map[Term][]int32
+}
+
+// le decides φ ≼ spine(n).
+func (s spine) le(phi Log, n int) bool {
+	switch l := phi.(type) {
+	case Empty:
+		return true // Log-Nil
+	case *Comp:
+		return s.le(l.L, n) && s.le(l.R, n) // Log-Comp1
+	case *Pre:
+		if s.idx == nil || l.Act.B.IsVar() {
+			for q := n - 1; q >= 0; q-- {
+				if s.pre(l, q) {
+					return true
+				}
+			}
+			return false
+		}
+		pos := s.idx[l.Act.B]
+		for i := sort.Search(len(pos), func(i int) bool { return int(pos[i]) >= n }) - 1; i >= 0; i-- {
+			if s.pre(l, int(pos[i])) {
+				return true
+			}
+		}
+		return false
+	default:
+		panic(fmt.Sprintf("logs: LeSpine: unknown log %T", phi))
+	}
+}
+
+// pre is Log-Pre1 at position q: α matches at(q) and φσ ≼ spine(q).
+func (s spine) pre(l *Pre, q int) bool {
+	sigma, _, ok := matchActions(l.Act, s.at(q))
+	return ok && s.le(ApplySubst(l.Rest, sigma), q)
 }
 
 // matchActions implements α ≾ α' of Log-Pre1: it returns σL, the bindings

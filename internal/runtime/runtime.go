@@ -394,20 +394,28 @@ func (n *Net) Audit() error {
 		}
 	}
 	n.mu.Unlock()
-	log := n.Log()
-	for _, v := range vals {
-		if !logs.Le(denote.Denote(v), log) {
-			return fmt.Errorf("runtime: value %s has provenance not justified by the global log", v)
-		}
-	}
-	return nil
+	return n.audit(vals...)
 }
 
 // AuditValue checks a single annotated value (e.g. one held by a
 // principal) against the global log.
 func (n *Net) AuditValue(v syntax.AnnotatedValue) error {
-	if !logs.Le(denote.Denote(v), n.Log()) {
-		return fmt.Errorf("runtime: value %s has provenance not justified by the global log", v)
+	return n.audit(v)
+}
+
+// audit decides ⟦v⟧ ≼ φ for each value against the global log as it
+// stands, with logs.LeSpine over the logged actions instead of a built
+// spine. n.log is append-only, so the capped prefix taken under the
+// lock stays valid after it.
+func (n *Net) audit(vals ...syntax.AnnotatedValue) error {
+	n.mu.Lock()
+	log := n.log[:len(n.log):len(n.log)]
+	n.mu.Unlock()
+	at := func(i int) logs.Action { return log[i] }
+	for _, v := range vals {
+		if !logs.LeSpine(denote.Denote(v), len(log), at, nil) {
+			return fmt.Errorf("runtime: value %s has provenance not justified by the global log", v)
+		}
 	}
 	return nil
 }

@@ -43,13 +43,23 @@ func (s *Store) Len() int {
 	return n
 }
 
-// globalSnapshot returns the merged cross-shard view (records oldest
-// first, plus the log spine), folding only the records appended since
-// the last call into the cached merge. The zero-append case — an audit
-// service over a quiescent or restarted store — is O(1) after the first
-// merge; a mixed append/audit workload pays O(new records · log(new)),
-// never a from-scratch O(total log) rebuild. Callers must not mutate
-// the returned slice.
+// globalSnapshot returns the merged cross-shard view, records oldest
+// first. Callers must not mutate the returned slice; later refreshes
+// only append beyond its length, so it stays valid without the lock.
+func (s *Store) globalSnapshot() []wire.Record {
+	s.global.mu.Lock()
+	defer s.global.mu.Unlock()
+	s.refreshGlobalLocked()
+	return s.global.recs
+}
+
+// refreshGlobalLocked folds the records appended since the last refresh
+// into the cached merge and its value index; the caller holds
+// global.mu, which makes this the index's only writer. The zero-append
+// case — an audit service over a quiescent or restarted store — is O(1)
+// after the first merge; otherwise a refresh costs O(new records ·
+// log(new)) plus one walk of the shard map under the stripes, never a
+// from-scratch O(total log) rebuild.
 //
 // Why the increment is sound: while every stripe is held, no append can
 // be mid-flight (sequence numbers are assigned under the acting
@@ -63,16 +73,10 @@ func (s *Store) Len() int {
 // numbers — an append that assigned a number and then failed its disk
 // write — is permanently dead for the same reason, so the merge skips
 // it exactly as the old full rebuild did.)
-func (s *Store) globalSnapshot() ([]wire.Record, logs.Log) {
-	s.global.mu.Lock()
-	defer s.global.mu.Unlock()
+func (s *Store) refreshGlobalLocked() {
 	g := &s.global
-	if s.nextSeq.Load() == g.upTo && g.log != nil {
-		return g.recs, g.log // quiescent store: no stripe is touched
-	}
-	if g.b == nil {
-		g.b = logs.NewBuilder()
-		g.consumed = make(map[string]int)
+	if s.nextSeq.Load() == g.upTo && g.idx != nil {
+		return // quiescent store: no stripe is touched
 	}
 	// Hold every stripe while collecting: releasing one stripe before
 	// locking the next would let an append assign seq N on a visited
@@ -80,17 +84,20 @@ func (s *Store) globalSnapshot() ([]wire.Record, logs.Log) {
 	// with a hole — a state that never existed, against which a
 	// Definition-3 audit could return a wrong verdict. Stripes are
 	// always taken in index order here (as in AppendBatch) and singly
-	// everywhere else, so this cannot deadlock.
+	// everywhere else, so this cannot deadlock. The hold is one walk
+	// of the shard map and the suffix copies, nothing sorted.
 	for i := range s.stripes {
 		s.stripes[i].Lock()
 	}
 	var fresh []wire.Record
-	for _, sh := range s.snapshotShards() {
-		if c := g.consumed[sh.principal]; c < len(sh.recs) {
-			fresh = append(fresh, sh.recs[c:]...)
-			g.consumed[sh.principal] = len(sh.recs)
+	s.mu.RLock()
+	for _, sh := range s.shards {
+		if sh.merged < len(sh.recs) {
+			fresh = append(fresh, sh.recs[sh.merged:]...)
+			sh.merged = len(sh.recs)
 		}
 	}
+	s.mu.RUnlock()
 	// Re-read the counter under the stripes: everything at or below it
 	// is now folded in, so the next quiescent query is the O(1) path.
 	target := s.nextSeq.Load()
@@ -98,21 +105,36 @@ func (s *Store) globalSnapshot() ([]wire.Record, logs.Log) {
 		s.stripes[i].Unlock()
 	}
 	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Seq < fresh[j].Seq })
-	g.recs = append(g.recs, fresh...)
-	for _, r := range fresh {
-		g.b.Append(r.Act)
+	if g.idx == nil {
+		g.idx = make(map[logs.Term][]int32)
 	}
-	g.log = g.b.Log()
+	base := len(g.recs)
+	g.recs = append(g.recs, fresh...)
+	for i, r := range fresh {
+		g.idx[r.Act.B] = append(g.idx[r.Act.B], int32(base+i))
+	}
 	g.upTo = target
-	return g.recs, g.log
 }
 
 // ShardLog returns one principal's actions as a log spine (most recent
 // action at the head). Note the shard log alone cannot justify
-// cross-principal provenance chains; use GlobalLog for Definition-3
+// cross-principal provenance chains; use AuditTerm for Definition-3
 // audits.
 func (s *Store) ShardLog(principal string) logs.Log {
-	recs := s.ScanShardTail(principal, Filter{}, 0, -1)
+	return spineOf(s.ScanShardTail(principal, Filter{}, 0, -1))
+}
+
+// GlobalLog reconstructs the global monitor log φ: the spine of all
+// stored actions in sequence order, most recent first — exactly the log
+// a runtime.Net mirroring into this store holds in memory. It builds the
+// spine on every call, O(n) time and memory: it is for tests and tools.
+// Audits never build it (AuditTerm).
+func (s *Store) GlobalLog() logs.Log {
+	return spineOf(s.globalSnapshot())
+}
+
+// spineOf is the log spine of records given in sequence order.
+func spineOf(recs []wire.Record) logs.Log {
 	acts := make([]logs.Action, len(recs))
 	for i, r := range recs {
 		acts[i] = r.Act
@@ -120,20 +142,21 @@ func (s *Store) ShardLog(principal string) logs.Log {
 	return logs.Spine(acts)
 }
 
-// GlobalLog reconstructs the global monitor log φ: the spine of all
-// stored actions in sequence order, most recent first — exactly the log
-// a runtime.Net mirroring into this store holds in memory.
-func (s *Store) GlobalLog() logs.Log {
-	_, l := s.globalSnapshot()
-	return l
-}
-
 // AuditTerm runs the Definition-3 correctness check for one claimed
 // value V:κ against the recovered global log: ⟦V:κ⟧ ≼ φ. V may be the
-// unknown-channel symbol ? (logs.UnknownT).
+// unknown-channel symbol ? (logs.UnknownT). The decision is
+// logs.LeSpine over the cached merge and its value index, under the
+// cache's mutex but no stripe, so its cost follows the claim and its
+// candidate records, not the log's length.
 func (s *Store) AuditTerm(t logs.Term, k syntax.Prov) error {
 	s.metrics.Audits.Add(1)
-	if !logs.Le(denote.DenoteTerm(t, k), s.GlobalLog()) {
+	claim := denote.DenoteTerm(t, k)
+	g := &s.global
+	g.mu.Lock()
+	s.refreshGlobalLocked()
+	ok := logs.LeSpine(claim, len(g.recs), func(i int) logs.Action { return g.recs[i].Act }, g.idx)
+	g.mu.Unlock()
+	if !ok {
 		s.metrics.AuditFailures.Add(1)
 		return fmt.Errorf("store: value %s:(%s) has provenance not justified by the stored log", t, k)
 	}

@@ -185,7 +185,7 @@ func (s *Store) ScanGlobal(from, ceil uint64, max int) []wire.Record {
 	if max == 0 {
 		return nil
 	}
-	recs, _ := s.globalSnapshot()
+	recs := s.globalSnapshot()
 	lo := sort.Search(len(recs), func(i int) bool { return recs[i].Seq >= from })
 	hi := len(recs)
 	if ceil > 0 {
@@ -212,7 +212,7 @@ func (s *Store) ScanGlobalTail(ceil uint64, n int) []wire.Record {
 	if n == 0 {
 		return nil
 	}
-	recs, _ := s.globalSnapshot()
+	recs := s.globalSnapshot()
 	hi := len(recs)
 	if ceil > 0 {
 		hi = sort.Search(len(recs), func(i int) bool { return recs[i].Seq >= ceil })

@@ -166,6 +166,9 @@ type shard struct {
 	// count mirrors len(recs) atomically so size queries (Len, Counts,
 	// /metrics, /principals) never need the stripe lock.
 	count atomic.Int64
+	// merged counts the records already folded into the global merge;
+	// guarded by the global cache's mutex (see refreshGlobalLocked).
+	merged int
 	// compacting serialises compactions of this shard (the heavy I/O
 	// runs outside the stripe lock; see Compact).
 	compacting bool
@@ -214,18 +217,17 @@ type Store struct {
 
 // globalCache memoises the cross-shard merge keyed on the sequence
 // counter: any append bumps the counter and marks it stale. The cache
-// is maintained *incrementally* — consumed tracks how many of each
-// shard's records have already been merged, and a refresh folds only
-// the new suffixes into recs and the persistent logs.Builder — so a
-// mixed append/audit workload pays O(new records) per audit, not
-// O(total log). See globalSnapshot for the invariants.
+// is maintained *incrementally* — each shard's merged count says how
+// many of its records are already in recs, and a refresh folds only the
+// new suffixes in — so a mixed append/audit workload pays O(new
+// records) per audit, not O(total log). idx is the value index
+// logs.LeSpine decides audits with: each B term's ascending positions
+// in recs. See refreshGlobalLocked for the invariants.
 type globalCache struct {
-	mu       sync.Mutex
-	upTo     uint64         // nextSeq value the cache was built at
-	consumed map[string]int // per-principal count of records already merged
-	b        *logs.Builder  // persistent spine builder (appends are O(1))
-	recs     []wire.Record
-	log      logs.Log
+	mu   sync.Mutex
+	upTo uint64 // nextSeq value the cache was built at
+	recs []wire.Record
+	idx  map[logs.Term][]int32 // nil until the first refresh
 }
 
 // shardDirName maps a principal to a filesystem-safe shard directory
@@ -571,8 +573,14 @@ func (s *Store) Close() error {
 // Close: every shard's active segment and directory synced (and, for
 // Close, the segment closed) under all stripes, the shards fanned out
 // like a commit's touched segments instead of paid one after another.
+//
+// The shards are listed after the stripes are taken: a shard created
+// and appended between an earlier listing and the lock would be skipped,
+// breaking Sync's promise to cover new shards. Every append holds its
+// stripe, so once all stripes are held the listing covers every record
+// appended so far. Taking the shards-map read lock under the stripes is
+// the global refresh's lock order too; shardFor never takes a stripe.
 func (s *Store) syncShards(closeSegments bool) error {
-	shards := s.snapshotShards()
 	for i := range s.stripes {
 		s.stripes[i].Lock()
 	}
@@ -581,6 +589,7 @@ func (s *Store) syncShards(closeSegments bool) error {
 			s.stripes[i].Unlock()
 		}
 	}()
+	shards := s.snapshotShards()
 	s.metrics.SyncBarriers.Add(1)
 	return fanOut(len(shards), func(i int) error {
 		sh := shards[i]
@@ -602,7 +611,7 @@ func (s *Store) syncShards(closeSegments bool) error {
 	})
 }
 
-// snapshotShards returns the current shards in stable (principal) order.
+// snapshotShards returns the current shards in arbitrary order.
 func (s *Store) snapshotShards() []*shard {
 	s.mu.RLock()
 	out := make([]*shard, 0, len(s.shards))
@@ -610,7 +619,6 @@ func (s *Store) snapshotShards() []*shard {
 		out = append(out, sh)
 	}
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].principal < out[j].principal })
 	return out
 }
 

@@ -68,52 +68,66 @@ func BenchmarkStoreAppendParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreAuditQuery measures a server-side Definition-3 audit:
-// reconstructing the global spine from the sharded store and deciding
-// ⟦V:κ⟧ ≼ φ for a genuine cross-principal chain.
+// BenchmarkStoreAuditQuery measures a server-side Definition-3 audit,
+// ⟦V:κ⟧ ≼ φ against the store's merged global log, for a genuine
+// cross-principal chain buried mid-log (log<N>) and for its tampered
+// twin (tampered/log<N>), whose refusal must rule out every candidate
+// record.
 func BenchmarkStoreAuditQuery(b *testing.B) {
-	for _, size := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("log%d", size), func(b *testing.B) {
-			s, err := store.Open(b.TempDir(), store.Options{})
-			if err != nil {
-				b.Fatal(err)
+	for _, tampered := range []bool{false, true} {
+		for _, size := range []int{100, 1000, 100000} {
+			name := fmt.Sprintf("log%d", size)
+			if tampered {
+				name = "tampered/" + name
 			}
-			defer s.Close()
-			// A relay chain a -> s -> c buried under unrelated traffic.
-			chain := []logs.Action{
-				logs.SndAct("a", logs.NameT("m"), logs.NameT("v")),
-				logs.RcvAct("s", logs.NameT("m"), logs.NameT("v")),
-				logs.SndAct("s", logs.NameT("n"), logs.NameT("v")),
-				logs.RcvAct("c", logs.NameT("n"), logs.NameT("v")),
-			}
-			for i := 0; i < size; i++ {
-				if _, err := s.Append(benchAction(i)); err != nil {
-					b.Fatal(err)
-				}
-				if i == size/2 {
-					for _, a := range chain {
-						if _, err := s.Append(a); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-			claim := syntax.Seq(
-				syntax.InEvent("c", nil), syntax.OutEvent("s", nil),
-				syntax.InEvent("s", nil), syntax.OutEvent("a", nil),
-			)
-			v := syntax.Annot(syntax.Chan("v"), claim)
-			if err := s.Audit(v); err != nil {
-				b.Fatalf("genuine chain rejected: %v", err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Audit(v); err != nil {
+			b.Run(name, func(b *testing.B) { benchAuditQuery(b, size, tampered) })
+		}
+	}
+}
+
+func benchAuditQuery(b *testing.B, size int, tampered bool) {
+	s, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	// A relay chain a -> s -> c buried under unrelated traffic.
+	chain := []logs.Action{
+		logs.SndAct("a", logs.NameT("m"), logs.NameT("v")),
+		logs.RcvAct("s", logs.NameT("m"), logs.NameT("v")),
+		logs.SndAct("s", logs.NameT("n"), logs.NameT("v")),
+		logs.RcvAct("c", logs.NameT("n"), logs.NameT("v")),
+	}
+	for i := 0; i < size; i++ {
+		if _, err := s.Append(benchAction(i)); err != nil {
+			b.Fatal(err)
+		}
+		if i == size/2 {
+			for _, a := range chain {
+				if _, err := s.Append(a); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
+		}
+	}
+	relay := "s"
+	if tampered {
+		relay = "mallory"
+	}
+	claim := syntax.Seq(
+		syntax.InEvent("c", nil), syntax.OutEvent(relay, nil),
+		syntax.InEvent("s", nil), syntax.OutEvent("a", nil),
+	)
+	v := syntax.Annot(syntax.Chan("v"), claim)
+	if err := s.Audit(v); (err != nil) != tampered {
+		b.Fatalf("tampered=%v: audit returned %v", tampered, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Audit(v); (err != nil) != tampered {
+			b.Fatal(err)
+		}
 	}
 }
 
