@@ -5,8 +5,9 @@ package repro_test
 // ingestBatchSize records over the pipelined binary protocol; one
 // HTTPAppend op appends a single record over HTTP/JSON — so the
 // per-record cost ratio is (BinaryBatch ns/op ÷ ingestBatchSize) vs
-// HTTPAppend ns/op. CI's benchmark gate watches these (with the store
-// append/audit benchmarks) for regressions.
+// HTTPAppend ns/op. ProvclientQueryAll is the read side: one 256-record
+// page over mutual TLS. CI's benchmark gate watches these (with the
+// store append/audit benchmarks) for regressions.
 
 import (
 	"bytes"
@@ -16,11 +17,14 @@ import (
 	"net/http"
 	"testing"
 
+	"repro/internal/auth"
 	"repro/internal/ingest"
 	"repro/internal/logs"
 	"repro/internal/provclient"
 	"repro/internal/provd"
 	"repro/internal/store"
+	"repro/internal/testutil"
+	"repro/internal/wire"
 )
 
 const ingestBatchSize = 256
@@ -93,6 +97,62 @@ func BenchmarkProvclientAppendIdle(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkProvclientQueryAll is one remote read: a 256-record page of
+// the global log, fetched with QueryAll from a mutual-TLS node that
+// enforces a read grant, one page at a time. accepts/op is the
+// listener's accepted connections per page — what the page paid in TCP
+// and TLS handshakes.
+func BenchmarkProvclientQueryAll(b *testing.B) {
+	const preload, page = 16 * ingestBatchSize, ingestBatchSize
+	ca, err := testutil.NewTestCA()
+	if err != nil {
+		b.Fatal(err)
+	}
+	serverTLS, err := ca.ServerConfig("leader")
+	if err != nil {
+		b.Fatal(err)
+	}
+	clientTLS, err := ca.ClientConfig("reader")
+	if err != nil {
+		b.Fatal(err)
+	}
+	grants := auth.NewMap()
+	if err := grants.Add(auth.Grant{Name: "reader", Roles: auth.RoleRead}, ""); err != nil {
+		b.Fatal(err)
+	}
+	st := testutil.OpenStore(b, b.TempDir(), store.Options{})
+	testutil.SeedStore(b, st, preload)
+	srv := ingest.NewServer(st, ingest.Options{TLS: serverTLS, Auth: auth.NewGuard(grants)})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	c := provclient.New(addr, provclient.Options{Conns: 1, TLSConfig: clientTLS})
+	defer c.Close()
+	read := func(i int) error {
+		from := uint64(i%(preload/page)) * page
+		recs, _, err := c.QueryAll(wire.QuerySpec{MinSeq: from, Limit: page})
+		if err == nil && (len(recs) != page || recs[0].Seq != from) {
+			err = fmt.Errorf("page at %d: %d records", from, len(recs))
+		}
+		return err
+	}
+	if err := read(0); err != nil { // warm the store's global cache
+		b.Fatal(err)
+	}
+	before := srv.Stats().Accepted
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := read(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(srv.Stats().Accepted-before)/float64(b.N), "accepts/op")
 }
 
 func BenchmarkIngestHTTPAppend(b *testing.B) {

@@ -38,10 +38,13 @@
 // provd restarts too. Appends are never silently lost: an error return
 // means the batch's tail did not commit.
 //
-// The client also speaks the binary read path (query.go): Query runs a
-// typed, cursor-paginated remote query — or a live Follow of the log
-// as it grows — over a dedicated connection, which is what remote
-// replication and off-box audit are built on.
+// The client also speaks the binary read path (query.go), which is what
+// remote replication and off-box audit are built on. QueryAll runs a
+// typed, cursor-paginated remote query on a kept read connection: one
+// whose last query ended cleanly waits on a small idle list (at most
+// Conns) for the next, so a reader pays one handshake, not one per
+// page. Query — a stream the caller holds, such as a live Follow of
+// the log as it grows — and FetchSnapshot each dial their own.
 package provclient
 
 import (
@@ -74,7 +77,8 @@ func (e *ServerError) Error() string { return "provclient: server rejected batch
 // Options tunes a client.
 type Options struct {
 	// Conns is the connection pool size (default 4). Requests round-robin
-	// over the pool; each connection pipelines independently.
+	// over the pool; each connection pipelines independently. It also
+	// caps the read connections QueryAll and FetchClusterMap keep idle.
 	Conns int
 	// MaxBatch caps actions per request (default 1024, hard cap
 	// wire.MaxIngestBatch). Append's group batcher ships at this size;
@@ -101,9 +105,9 @@ type Options struct {
 	// batches; see CommittedFloor for re-sending an unacked journal.
 	Session string
 	// TLSConfig, when set, dials TLS instead of cleartext: every
-	// connection — pooled append conns and the dedicated query/snapshot
-	// conns alike, including every redial after a failure — handshakes
-	// with it before its first frame. For the mutual-TLS deployment
+	// connection — pooled append conns and read-path conns alike,
+	// including every redial after a failure — handshakes with it
+	// before its first frame. For the mutual-TLS deployment
 	// shape it carries the client certificate the server resolves an
 	// identity from and the CA pool the server is verified against
 	// (internal/testutil.TestCA builds both for tests).
@@ -172,9 +176,10 @@ type Client struct {
 	seeded atomic.Bool
 	floor  atomic.Uint64
 
-	mu     sync.Mutex // guards cur, flight and closed
+	mu     sync.Mutex // guards cur, flight, idle and closed
 	cur    *group     // the open group: joined by Appends, not yet shipped
 	flight []*group   // shipped, not yet acked
+	idle   []*qconn   // kept read connections, at most opts.Conns (query.go)
 	closed bool
 }
 
@@ -473,8 +478,8 @@ func wait(groups []*group) error {
 }
 
 // Close flushes — every Append accepted before Close gets its answer
-// from the server, not from the teardown — and then closes the pool.
-// Further calls return ErrClosed.
+// from the server, not from the teardown — and then closes the pool and
+// the idle read connections. Further calls return ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -483,7 +488,12 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	shipped := c.flushLocked()
+	idle := c.idle
+	c.idle = nil
 	c.mu.Unlock()
+	for _, qc := range idle {
+		qc.nc.Close()
+	}
 	err := wait(shipped)
 	for _, cn := range c.conns {
 		cn.close()

@@ -13,47 +13,42 @@ import (
 	"repro/internal/wire"
 )
 
-// FetchClusterMap asks the server for its current partition map over a
-// dedicated connection, the same isolation discipline as QueryStream
-// and FetchSnapshot.
+// FetchClusterMap asks the server for its current partition map on a
+// kept read connection, the way QueryAll runs: taken from the idle list
+// (or dialed), handed back once the reply is read, and retried once on
+// a fresh dial if a kept connection turns out dead. A server that
+// closes a fresh connection instead of answering — an old node without
+// the cluster family — comes back as *ServerError.
 func (c *Client) FetchClusterMap() (wire.ClusterMap, error) {
-	if c.isClosed() {
-		return wire.ClusterMap{}, ErrClosed
-	}
-	nc, err := dial(c.addr, c.opts.DialTimeout, c.opts.TLSConfig, c.opts.Token)
-	if err != nil {
-		return wire.ClusterMap{}, fmt.Errorf("provclient: cluster map dial: %w", err)
-	}
-	defer nc.Close()
-	enc := wire.NewStreamEncoder(nc)
-	e := wire.NewEncoder()
-	e.ClusterMapReq(1)
-	if err := enc.Envelope(e.Bytes()); err == nil {
-		err = enc.Flush()
-	} else {
-		return wire.ClusterMap{}, fmt.Errorf("provclient: sending cluster map request: %w", err)
-	}
-	if c.opts.RequestTimeout > 0 {
-		nc.SetReadDeadline(time.Now().Add(c.opts.RequestTimeout))
-	}
-	env, err := wire.NewStreamDecoder(nc).Envelope()
-	if err != nil {
-		return wire.ClusterMap{}, fmt.Errorf("provclient: reading cluster map: %w", err)
-	}
-	m, err := wire.DecodeCluster(env)
-	if err != nil {
-		// The server may have answered with a connection-scoped ingest
-		// error (an old node that does not speak the cluster family).
-		if im, ierr := wire.DecodeIngest(env); ierr == nil && im.Op == wire.OpIngestError {
-			return wire.ClusterMap{}, &ServerError{Msg: im.Msg}
+	var cm wire.ClusterMap
+	err := c.exchange("cluster map", func(qc *qconn) error {
+		id := qc.next()
+		e := wire.NewEncoder()
+		e.ClusterMapReq(id)
+		if err := qc.send(e.Bytes()); err != nil {
+			return fmt.Errorf("provclient: sending cluster map request: %w", err)
 		}
-		return wire.ClusterMap{}, fmt.Errorf("provclient: decoding cluster map: %w", err)
-	}
-	if m.Op != wire.OpClusterMap || m.ID != 1 {
-		return wire.ClusterMap{}, fmt.Errorf("provclient: cluster map reply had opcode %#x id %d", m.Op, m.ID)
-	}
-	if m.Err != "" {
-		return wire.ClusterMap{}, &ServerError{Msg: m.Err}
-	}
-	return m.Map, nil
+		if c.opts.RequestTimeout > 0 {
+			qc.nc.SetReadDeadline(time.Now().Add(c.opts.RequestTimeout))
+			defer qc.nc.SetReadDeadline(time.Time{})
+		}
+		env, err := qc.read(wire.IsClusterOp, "cluster map")
+		if err != nil {
+			return err
+		}
+		m, err := wire.DecodeCluster(env)
+		if err != nil {
+			return fmt.Errorf("provclient: decoding cluster map: %w", err)
+		}
+		if m.Op != wire.OpClusterMap || m.ID != id {
+			return fmt.Errorf("provclient: cluster map reply had opcode %#x id %d", m.Op, m.ID)
+		}
+		qc.settled = true
+		if m.Err != "" {
+			return &ServerError{Msg: m.Err}
+		}
+		cm = m.Map
+		return nil
+	})
+	return cm, err
 }

@@ -171,8 +171,8 @@ func (cn *conn) dialLocked() error {
 }
 
 // dial establishes one connection the way every provclient dial site
-// does — the pooled append conns and the dedicated query/snapshot conns
-// must authenticate identically, including on every retry redial. TCP
+// does — the pooled append conns and the read-path conns must
+// authenticate identically, including on every retry redial. TCP
 // first; then, under the same timeout, the TLS handshake (run eagerly
 // so a certificate the server rejects fails the dial, not the first
 // write); then, cleartext only, the auth token as the connection's

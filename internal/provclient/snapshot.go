@@ -8,10 +8,8 @@ package provclient
 // the same isolation discipline as QueryStream.
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"net"
 
 	"repro/internal/wire"
 )
@@ -34,8 +32,7 @@ type SnapshotPart struct {
 // SnapshotStream is one running snapshot transfer. Next is not safe
 // for concurrent use; Close may race it freely.
 type SnapshotStream struct {
-	nc   net.Conn
-	dec  *wire.StreamDecoder
+	qc   *qconn
 	id   uint64
 	meta SnapshotMeta
 
@@ -51,30 +48,25 @@ func (c *Client) FetchSnapshot() (*SnapshotStream, error) {
 	if c.isClosed() {
 		return nil, ErrClosed
 	}
-	nc, err := dial(c.addr, c.opts.DialTimeout, c.opts.TLSConfig, c.opts.Token)
+	qc, err := c.dialConn("snapshot")
 	if err != nil {
-		return nil, fmt.Errorf("provclient: snapshot dial: %w", err)
+		return nil, err
 	}
-	ss := &SnapshotStream{nc: nc, dec: wire.NewStreamDecoder(nc), id: 1}
-	enc := wire.NewStreamEncoder(nc)
+	ss := &SnapshotStream{qc: qc, id: qc.next()}
 	e := wire.NewEncoder()
 	e.Snapshot(ss.id)
-	err = enc.Envelope(e.Bytes())
-	if err == nil {
-		err = enc.Flush()
-	}
-	if err != nil {
-		nc.Close()
+	if err := qc.send(e.Bytes()); err != nil {
+		qc.nc.Close()
 		return nil, fmt.Errorf("provclient: sending snapshot request: %w", err)
 	}
 	// The first frame must be the meta header (or a refusal).
 	m, err := ss.next()
 	if err != nil {
-		nc.Close()
+		qc.nc.Close()
 		return nil, err
 	}
 	if m.Op != wire.OpSnapshotMeta {
-		nc.Close()
+		qc.nc.Close()
 		return nil, fmt.Errorf("provclient: snapshot opened with opcode %#x, want meta", m.Op)
 	}
 	ss.meta = SnapshotMeta{Ceil: m.Ceil, Records: m.Records, Sessions: m.Sessions}
@@ -87,23 +79,9 @@ func (ss *SnapshotStream) Meta() SnapshotMeta { return ss.meta }
 // next decodes one snapshot frame, translating transport-level and
 // server-refusal replies into errors.
 func (ss *SnapshotStream) next() (wire.SnapshotMsg, error) {
-	env, err := ss.dec.Envelope()
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return wire.SnapshotMsg{}, fmt.Errorf("%w: connection closed before snapshot end", errConnBroken)
-		}
-		return wire.SnapshotMsg{}, err
-	}
-	op, err := wire.PeekOp(env)
+	env, err := ss.qc.read(wire.IsSnapshotOp, "snapshot")
 	if err != nil {
 		return wire.SnapshotMsg{}, err
-	}
-	if !wire.IsSnapshotOp(op) {
-		// An id-0 ingest error is the server closing the connection.
-		if m, err := wire.DecodeIngest(env); err == nil && m.Op == wire.OpIngestError {
-			return wire.SnapshotMsg{}, &ServerError{Msg: m.Msg}
-		}
-		return wire.SnapshotMsg{}, fmt.Errorf("provclient: unexpected opcode %#x on snapshot stream", op)
 	}
 	m, err := wire.DecodeSnapshot(env)
 	if err != nil {
@@ -161,4 +139,4 @@ func (ss *SnapshotStream) Next() (SnapshotPart, error) {
 func (ss *SnapshotStream) Resume() uint64 { return ss.resume }
 
 // Close tears the stream's connection down.
-func (ss *SnapshotStream) Close() error { return ss.nc.Close() }
+func (ss *SnapshotStream) Close() error { return ss.qc.nc.Close() }
