@@ -104,8 +104,8 @@ import (
 // replication stops before the store does (the store must not close
 // under a mid-flight apply, and the durable high-water is the restart's
 // resume point).
-func serve(addr string, app http.Handler, serverTLS *tls.Config, grace time.Duration, cleanup func()) {
-	srv := &http.Server{Addr: addr, Handler: app, TLSConfig: serverTLS}
+func serve(addr string, app *provd.Server, serverTLS *tls.Config, grace time.Duration, cleanup func()) {
+	srv := &http.Server{Addr: addr, Handler: app, TLSConfig: serverTLS, ConnState: app.ConnState}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -5,8 +5,9 @@ package repro_test
 // ingestBatchSize records over the pipelined binary protocol; one
 // HTTPAppend op appends a single record over HTTP/JSON — so the
 // per-record cost ratio is (BinaryBatch ns/op ÷ ingestBatchSize) vs
-// HTTPAppend ns/op. ProvclientQueryAll is the read side: one 256-record
-// page over mutual TLS. CI's benchmark gate watches these (with the
+// HTTPAppend ns/op. ProvclientQueryAll and ProvdHTTPLogPage are the read
+// side: one 256-record page over mutual TLS, binary and HTTP/JSON. CI's
+// benchmark gate watches these (with the
 // store append/audit benchmarks) for regressions.
 
 import (
@@ -15,6 +16,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/auth"
@@ -153,6 +156,78 @@ func BenchmarkProvclientQueryAll(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(srv.Stats().Accepted-before)/float64(b.N), "accepts/op")
+}
+
+// BenchmarkProvdHTTPLogPage is the same read over HTTP/JSON: a
+// 256-record page of the global log from a mutual-TLS provd that
+// enforces a read grant, fetched by a client that decodes the one JSON
+// value and closes the body without reading on to EOF — the usual Go
+// client. conns/op is the server's new connections per page: what the
+// page paid in TCP and TLS handshakes.
+func BenchmarkProvdHTTPLogPage(b *testing.B) {
+	const preload, page = 16 * ingestBatchSize, ingestBatchSize
+	ca, err := testutil.NewTestCA()
+	if err != nil {
+		b.Fatal(err)
+	}
+	serverTLS, err := ca.ServerConfig("leader")
+	if err != nil {
+		b.Fatal(err)
+	}
+	clientTLS, err := ca.ClientConfig("reader")
+	if err != nil {
+		b.Fatal(err)
+	}
+	grants := auth.NewMap()
+	if err := grants.Add(auth.Grant{Name: "reader", Roles: auth.RoleRead}, ""); err != nil {
+		b.Fatal(err)
+	}
+	st := testutil.OpenStore(b, b.TempDir(), store.Options{})
+	testutil.SeedStore(b, st, preload)
+	app := provd.NewServer(st, nil)
+	app.SetAuth(auth.NewGuard(grants))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var conns atomic.Int64
+	hs := &http.Server{Handler: app, TLSConfig: serverTLS, ConnState: func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}}
+	go hs.ServeTLS(ln, "", "")
+	defer hs.Close()
+	client := &http.Client{Transport: &http.Transport{TLSClientConfig: clientTLS}}
+	defer client.CloseIdleConnections()
+	base := "https://" + ln.Addr().String() + "/log?limit=" + strconv.Itoa(page) + "&from="
+	read := func(i int) error {
+		from := uint64(i%(preload/page)) * page
+		resp, err := client.Get(base + strconv.FormatUint(from, 10))
+		if err != nil {
+			return err
+		}
+		var lr provd.LogResponse
+		err = json.NewDecoder(resp.Body).Decode(&lr)
+		resp.Body.Close()
+		if err == nil && (resp.StatusCode != http.StatusOK || len(lr.Records) != page || lr.Records[0].Seq != from) {
+			err = fmt.Errorf("page at %d: status %d, %d records", from, resp.StatusCode, len(lr.Records))
+		}
+		return err
+	}
+	if err := read(0); err != nil { // warm the store's global cache
+		b.Fatal(err)
+	}
+	before := conns.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := read(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(conns.Load()-before)/float64(b.N), "conns/op")
 }
 
 func BenchmarkIngestHTTPAppend(b *testing.B) {

@@ -113,6 +113,15 @@ type leaderNode struct {
 	replays uint64
 }
 
+// serveHTTP serves app on a loopback test server with its connection
+// counter wired, as cmd/provd wires it.
+func serveHTTP(app *provd.Server) *httptest.Server {
+	ts := httptest.NewUnstartedServer(app)
+	ts.Config.ConnState = app.ConnState
+	ts.Start()
+	return ts
+}
+
 func startLeader(dir string, sopts store.Options, tlsConf *tls.Config, guard *auth.Guard) (*leaderNode, error) {
 	n := &leaderNode{dir: dir, sopts: sopts, tlsConf: tlsConf, guard: guard}
 	if err := n.start(); err != nil {
@@ -141,7 +150,7 @@ func (n *leaderNode) start() error {
 	}
 	app.AttachIngest(ing)
 	n.st, n.app, n.ing, n.addr = st, app, ing, addr
-	n.http = httptest.NewServer(app)
+	n.http = serveHTTP(app)
 	return nil
 }
 
@@ -206,7 +215,7 @@ func (n *replicaNode) start() error {
 	app := provd.NewServer(st, nil)
 	app.SetReplica(rep, "")
 	n.st, n.rep, n.app = st, rep, app
-	n.http = httptest.NewServer(app)
+	n.http = serveHTTP(app)
 	rep.Start()
 	return nil
 }

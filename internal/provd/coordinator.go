@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -147,6 +148,11 @@ func (b *fleetBackend) audit(w http.ResponseWriter, req AuditRequest, _ logs.Ter
 	defer resp.Body.Close()
 	b.proxied.Add(1)
 	w.Header().Set("Content-Type", "application/json")
+	// Forward the leader's framing, so the caller's connection outlives
+	// an audit whose body exceeds the server's buffer (see reply.send).
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 }
@@ -182,6 +188,11 @@ func (b *fleetBackend) principals(observer string) ([]PrincipalDTO, error) {
 	return merged, nil
 }
 
+// principalsPage fetches one census page from leader l. It decodes one
+// value and closes the body without reading on to EOF; the connection
+// still goes back to the client's pool, because a leader frames every
+// body by its length (reply.send) and the transport reports EOF with its
+// last byte — so no drain is needed here.
 func (b *fleetBackend) principalsPage(l cluster.Leader, params url.Values) (PrincipalsResponse, error) {
 	var page PrincipalsResponse
 	resp, err := b.do(http.MethodGet, strings.TrimRight(l.HTTP, "/")+"/principals?"+params.Encode(), nil)

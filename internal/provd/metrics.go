@@ -15,8 +15,15 @@ import (
 )
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	rp := getReply()
+	defer rp.release()
+	s.writeMetrics(&rp.buf)
+	rp.send(w, http.StatusOK, textContentType)
+}
+
+func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "provd_http_requests_total %d\n", s.requests.Load())
+	fmt.Fprintf(w, "provd_http_connections_total %d\n", s.conns.Load())
 	fmt.Fprintf(w, "provd_http_bad_requests_total %d\n", s.badReqs.Load())
 	fmt.Fprintf(w, "provd_uptime_seconds %.3f\n", time.Since(s.started).Seconds())
 	s.backend.metrics(w)

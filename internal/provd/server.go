@@ -19,10 +19,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -83,6 +85,7 @@ type Server struct {
 
 	requests atomic.Uint64
 	badReqs  atomic.Uint64
+	conns    atomic.Uint64 // counted by ConnState
 }
 
 // newServer wires the routes over a backend.
@@ -112,6 +115,15 @@ func (s *Server) SetAuth(g *auth.Guard) { s.auth = g }
 // ingest.Options.Cluster so both write surfaces enforce one ownership
 // decision.
 func (s *Server) SetCluster(cv ingest.ClusterView) { s.cluster = cv }
+
+// ConnState counts the connections the HTTP server accepts
+// (provd_http_connections_total); set it as the http.Server's
+// ConnState hook.
+func (s *Server) ConnState(_ net.Conn, st http.ConnState) {
+	if st == http.StateNew {
+		s.conns.Add(1)
+	}
+}
 
 // grantKey stashes the request's resolved grant in its context.
 type grantKey struct{}
@@ -157,10 +169,69 @@ func grantFrom(r *http.Request) *auth.Grant {
 	return g
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// reply is a response body encoded in full before any byte of it is
+// sent.
+type reply struct {
+	buf bytes.Buffer
+	enc *json.Encoder // writes to buf
+}
+
+// maxPooledReply caps the buffer a reply returns to the pool: a page can
+// be megabytes (?limit= up to 10000 records), and the pool should keep
+// what typical pages need, not the largest one ever served.
+const maxPooledReply = 256 << 10
+
+var replies = sync.Pool{New: func() any {
+	rp := new(reply)
+	rp.enc = json.NewEncoder(&rp.buf)
+	return rp
+}}
+
+func getReply() *reply { return replies.Get().(*reply) }
+
+func (rp *reply) release() {
+	if rp.buf.Cap() > maxPooledReply {
+		return
+	}
+	rp.buf.Reset()
+	replies.Put(rp)
+}
+
+// Shared, never mutated: assigned to the header map directly, it costs
+// no allocation per response.
+var (
+	jsonContentType = []string{"application/json"}
+	textContentType = []string{"text/plain; charset=utf-8"}
+)
+
+// send writes rp as the whole response, framed by its Content-Length.
+// Go's server frames only bodies that fit its 2 KB response buffer on
+// its own; a larger one goes out chunked, and a client that decodes one
+// value and closes the body never reads the terminating chunk, so its
+// transport drops the connection and the next request pays a fresh TCP
+// (and TLS) handshake. With the length, the transport's body reader
+// reports EOF with the last byte and the connection stays pooled.
+func (rp *reply) send(w http.ResponseWriter, code int, contentType []string) {
+	h := w.Header()
+	h["Content-Type"] = contentType
+	h["Content-Length"] = []string{strconv.Itoa(rp.buf.Len())}
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(rp.buf.Bytes())
+}
+
+// writeJSON answers with v as JSON: exactly json.Encoder's bytes,
+// trailing newline included, framed by their length. A value that
+// cannot be encoded (a NaN, say) is a 500 carrying the encoder's error,
+// never a 200 cut short.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	rp := getReply()
+	defer rp.release()
+	if err := rp.enc.Encode(v); err != nil {
+		rp.buf.Reset()
+		code = http.StatusInternalServerError
+		rp.enc.Encode(map[string]string{"error": fmt.Sprintf("encoding response: %v", err)})
+	}
+	rp.send(w, code, jsonContentType)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

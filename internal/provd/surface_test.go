@@ -50,6 +50,7 @@ type surfaceOpts struct {
 // leader of a fleet.
 type member struct {
 	st     *store.Store
+	app    *Server
 	http   *httptest.Server
 	ingest string // binary listener address
 	guard  *auth.Guard
@@ -59,6 +60,7 @@ type member struct {
 // surface is one backend behind the shared handler set.
 type surface struct {
 	ts      *httptest.Server // the surface under test: the node, or the coordinator
+	app     *Server          // ts's handler set
 	guard   *auth.Guard      // ts's guard (nil when enforcement is off)
 	members []*member
 	m       *cluster.Map // nil on a node
@@ -132,14 +134,24 @@ func newMember(t *testing.T, o surfaceOpts, ids []identity, node *cluster.Node) 
 	}
 	t.Cleanup(ing.Close)
 	app.AttachIngest(ing)
-	mb.http = httptest.NewServer(app)
-	t.Cleanup(mb.http.Close)
+	mb.app, mb.http = app, serveHTTP(t, app)
 	return mb
+}
+
+// serveHTTP serves app on a test server with its connection counter
+// wired, as cmd/provd wires it.
+func serveHTTP(t *testing.T, app *Server) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(app)
+	ts.Config.ConnState = app.ConnState
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return ts
 }
 
 func newNodeSurface(t *testing.T, o surfaceOpts) *surface {
 	mb := newMember(t, o, o.ids, nil)
-	return &surface{ts: mb.http, guard: mb.guard, members: []*member{mb}}
+	return &surface{ts: mb.http, app: mb.app, guard: mb.guard, members: []*member{mb}}
 }
 
 // newFleetSurface starts two partition leaders and a coordinator over
@@ -185,8 +197,7 @@ func newFleetSurface(t *testing.T, o surfaceOpts) *surface {
 	if sf.guard = newGuard(t, ids); sf.guard != nil {
 		app.SetAuth(sf.guard)
 	}
-	sf.ts = httptest.NewServer(app)
-	t.Cleanup(sf.ts.Close)
+	sf.app, sf.ts = app, serveHTTP(t, app)
 	return sf
 }
 
