@@ -928,7 +928,8 @@ func (s *Server) commitRound(st *connState, cs *commitScratch) bool {
 				off += uint64(len(round[i].acts))
 			}
 		case !retryableAlone(err):
-			// The store may hold a prefix of the round: no reply can
+			// A failed write leaves nothing of the round, but a failed
+			// sync leaves it written and its state unknown: no reply can
 			// honour the protocol's "error means none appended" promise,
 			// so report a connection-scoped failure and let the client's
 			// replay discipline take over.

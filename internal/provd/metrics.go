@@ -89,6 +89,7 @@ func (b *localBackend) metrics(w io.Writer) {
 	fmt.Fprintf(w, "provd_store_batch_appends_total %d\n", st.BatchAppends)
 	fmt.Fprintf(w, "provd_store_appended_bytes_total %d\n", st.AppendedBytes)
 	fmt.Fprintf(w, "provd_store_rotations_total %d\n", st.Rotations)
+	fmt.Fprintf(w, "provd_store_segment_writes_total %d\n", st.SegmentWrites)
 	fmt.Fprintf(w, "provd_store_compactions_total %d\n", st.Compactions)
 	fmt.Fprintf(w, "provd_store_audits_total %d\n", st.Audits)
 	fmt.Fprintf(w, "provd_store_audit_failures_total %d\n", st.AuditFailures)

@@ -35,3 +35,40 @@ func BreakSync(tb testing.TB, s *Store, principal string) {
 		r.Close()
 	})
 }
+
+// BreakWrite makes every write to principal's active segment fail: the
+// segment's descriptor is swapped for a read-only one on the same file,
+// which refuses Write — and Truncate, so the failed write's rollback
+// poisons the segment. The shard must exist. The real descriptor is
+// back when the test ends (closed instead, if the store was closed
+// first).
+func BreakWrite(tb testing.TB, s *Store, principal string) {
+	tb.Helper()
+	s.mu.RLock()
+	sh := s.shards[principal]
+	s.mu.RUnlock()
+	if sh == nil {
+		tb.Fatalf("BreakWrite: no shard for %q", principal)
+	}
+	st := s.stripeFor(principal)
+	st.Lock()
+	seg := sh.active
+	ro, err := os.Open(seg.path)
+	if err != nil {
+		st.Unlock()
+		tb.Fatal(err)
+	}
+	real := seg.f
+	seg.f = ro
+	st.Unlock()
+	tb.Cleanup(func() {
+		st.Lock()
+		defer st.Unlock()
+		if s.closed.Load() {
+			real.Close()
+			return
+		}
+		seg.f = real
+		ro.Close()
+	})
+}

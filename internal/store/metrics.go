@@ -26,6 +26,11 @@ type Metrics struct {
 	// fsyncs one commit pays.
 	SyncBarriers atomic.Uint64
 	SegmentSyncs atomic.Uint64
+	// SegmentWrites counts the segment writes of successful appends:
+	// one per Append, one per touched segment of an AppendBatch or
+	// ApplyReplicated. Appends ÷ SegmentWrites is how many records one
+	// write(2) carries.
+	SegmentWrites atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of the store's counters.
@@ -44,6 +49,7 @@ type Stats struct {
 	ShardCapRejects    uint64
 	SyncBarriers       uint64
 	SegmentSyncs       uint64
+	SegmentWrites      uint64
 	Principals         int
 	Records            int
 	Sessions           int
@@ -70,6 +76,7 @@ func (s *Store) Stats() Stats {
 		ShardCapRejects:    s.metrics.ShardCapRejects.Load(),
 		SyncBarriers:       s.metrics.SyncBarriers.Load(),
 		SegmentSyncs:       s.metrics.SegmentSyncs.Load(),
+		SegmentWrites:      s.metrics.SegmentWrites.Load(),
 		Principals:         len(c.Principals),
 		Records:            c.Records,
 		Sessions:           s.sessions.Count(),

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/wire"
 )
@@ -29,12 +28,14 @@ var ErrReplicaOrder = errors.New("store: replicated batch out of sequence order"
 // spine (a failed append consumed the sequence number), which a
 // faithful replica reproduces rather than papering over.
 //
-// Locking, durability and failure semantics match AppendBatch: every
-// touched stripe is held for the whole batch, one durability barrier
-// over the touched segments, and a write failure leaves a strict prefix
-// applied. The sequence counter advances to last+1 only after the whole
-// batch is on disk, so a crashed replica resumes from a high-water its
-// shards actually back.
+// Locking, writing, durability and failure semantics match AppendBatch:
+// every touched stripe is held for the whole batch, one write per
+// touched segment, one durability barrier over the touched segments,
+// and a write failure applies nothing. The sequence counter advances to
+// last+1 only after the whole batch is on disk, so a crashed replica
+// resumes from a high-water its shards actually back — a batch a crash
+// cut short is a prefix or nothing on disk (marks.go) — and a failed
+// batch can be retried as is.
 //
 // ApplyReplicated must not race local Append/AppendBatch callers: a
 // replica store has exactly one writer, its Replicator. (The counter
@@ -56,54 +57,17 @@ func (s *Store) ApplyReplicated(recs []wire.Record) error {
 			return fmt.Errorf("%w: seq %d after %d", ErrReplicaOrder, r.Seq, recs[i-1].Seq)
 		}
 	}
-	// Resolve shards and the stripe set up front: shardFor takes the
-	// shards-map lock and must not run under any stripe.
 	shards := make(map[string]*shard)
-	stripeSet := make(map[int]struct{})
-	for _, r := range recs {
-		if _, ok := shards[r.Act.Principal]; ok {
-			continue
-		}
-		sh, err := s.shardFor(r.Act.Principal)
-		if err != nil {
-			return err
-		}
-		shards[r.Act.Principal] = sh
-		stripeSet[s.stripeIdx(r.Act.Principal)] = struct{}{}
+	held, err := s.lockBatch(shards, len(recs), func(i int) string { return recs[i].Act.Principal })
+	if err != nil {
+		return err
 	}
-	stripes := make([]int, 0, len(stripeSet))
-	for i := range stripeSet {
-		stripes = append(stripes, i)
-	}
-	sort.Ints(stripes)
-	for _, i := range stripes {
-		s.stripes[i].Lock()
-	}
-	defer func() {
-		for _, i := range stripes {
-			s.stripes[i].Unlock()
-		}
-	}()
-	if s.closed.Load() {
-		return ErrClosed
-	}
+	defer s.unlockStripes(held)
 	if next := s.nextSeq.Load(); recs[0].Seq < next {
 		return fmt.Errorf("%w: batch starts at seq %d, store high-water is %d", ErrReplicaOrder, recs[0].Seq, next)
 	}
-	for _, r := range recs {
-		sh := shards[r.Act.Principal]
-		if sh.active == nil || sh.active.size >= s.opts.SegmentBytes {
-			if err := s.rotateLocked(sh, r.Seq); err != nil {
-				return err
-			}
-		}
-		n, err := sh.active.appendRecord(r, false)
-		if err != nil {
-			return err
-		}
-		sh.addRec(r)
-		s.metrics.Appends.Add(1)
-		s.metrics.AppendedBytes.Add(uint64(n))
+	if err := s.writeBatchLocked(shards, len(recs), func(i int) wire.Record { return recs[i] }); err != nil {
+		return err
 	}
 	if s.opts.Fsync {
 		if err := s.commitBarrier(shards); err != nil {

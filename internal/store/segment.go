@@ -35,7 +35,7 @@ type segment struct {
 	path    string
 	f       *os.File
 	size    int64
-	buf     []byte        // frame scratch buffer, reused across appends
+	buf     []byte        // frames of the append in progress, reused across appends
 	scratch *wire.Encoder // envelope scratch, reused across appends
 	// poisoned marks a segment whose failed append could not be rolled
 	// back: a torn frame sits mid-file, so further appends would be
@@ -59,36 +59,33 @@ func openSegment(path string, size int64) (*segment, error) {
 	return &segment{path: path, f: f, size: size, scratch: wire.NewEncoder()}, nil
 }
 
-// appendRecord writes one framed record, returning the frame size. A
-// failed write or fsync is rolled back by truncating to the last
-// known-good length: leaving a torn frame mid-file would poison the
-// segment (recovery stops at the first bad frame), and leaving a whole
-// frame behind a reported failure would resurrect a nacked append after
-// restart — a retry would then store the action twice.
-func (g *segment) appendRecord(r wire.Record, fsync bool) (int, error) {
+// write appends b — whole record frames — to the file in one write(2),
+// without advancing size: the caller commits the bytes (size +=
+// len(b)) once everything the append depends on has succeeded, or
+// calls rollback. A failed write is rolled back here.
+func (g *segment) write(b []byte) error {
 	if g.poisoned {
-		return 0, errPoisoned
+		return errPoisoned
 	}
-	g.buf = wire.AppendRecordFrameScratch(g.buf[:0], r, g.scratch)
-	rollback := func(err error) error {
-		if terr := g.f.Truncate(g.size); terr != nil {
-			// The torn frame could not be removed: any later write would
-			// land behind it and be lost at recovery, so fail fast instead.
-			g.poisoned = true
-			return fmt.Errorf("%w (and rollback failed, segment poisoned: %v)", err, terr)
-		}
-		return err
+	if _, err := g.f.Write(b); err != nil {
+		return g.rollback(err)
 	}
-	if _, err := g.f.Write(g.buf); err != nil {
-		return 0, rollback(err)
+	return nil
+}
+
+// rollback truncates the file to size, its last committed length, and
+// returns err. Leaving a torn frame mid-file would poison the segment
+// (recovery stops at the first bad frame), and leaving a whole frame
+// behind a reported failure would resurrect a nacked append after
+// restart — a retry would then store the action twice.
+func (g *segment) rollback(err error) error {
+	if terr := g.f.Truncate(g.size); terr != nil {
+		// The torn frame could not be removed: any later write would
+		// land behind it and be lost at recovery, so fail fast instead.
+		g.poisoned = true
+		return fmt.Errorf("%w (and rollback failed, segment poisoned: %v)", err, terr)
 	}
-	if fsync {
-		if err := g.f.Sync(); err != nil {
-			return 0, rollback(err)
-		}
-	}
-	g.size += int64(len(g.buf))
-	return len(g.buf), nil
+	return err
 }
 
 func (g *segment) sync() error { return g.f.Sync() }

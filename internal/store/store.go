@@ -105,7 +105,11 @@ func validateAction(a logs.Action) error {
 type Options struct {
 	// Stripes is the number of append lock stripes (default 16).
 	Stripes int
-	// SegmentBytes is the active-segment rotation threshold (default 1 MiB).
+	// SegmentBytes is the active-segment rotation threshold (default 1
+	// MiB). It is checked before a shard's run of records in a batch,
+	// never inside one, so a segment may pass it by at most one batch's
+	// frames for that shard (at most about 9 KB for a 256-action
+	// batch).
 	SegmentBytes int64
 	// Fsync, when set, syncs the segment file on every append. Durable but
 	// slow; provd enables it by default.
@@ -172,6 +176,12 @@ type shard struct {
 	// compacting serialises compactions of this shard (the heavy I/O
 	// runs outside the stripe lock; see Compact).
 	compacting bool
+	// batchGen and batchNext are the batch writer's scratch, guarded by
+	// the stripe: batchGen names the last batch that touched the shard
+	// and batchNext links the shards of that batch in order of their
+	// first record (see writeBatchLocked).
+	batchGen  uint64
+	batchNext *shard
 }
 
 func (sh *shard) addRec(r wire.Record) {
@@ -192,6 +202,12 @@ type Store struct {
 	opts    Options
 	nextSeq atomic.Uint64
 	closed  atomic.Bool
+	// batchGen numbers batch writes, so a shard's batchGen mark can
+	// tell whether the current batch has touched it yet.
+	batchGen atomic.Uint64
+	// marks guards interleaved batches against a crash mid-batch
+	// (marks.go).
+	marks batchMarks
 
 	mu     sync.RWMutex // guards the shards map (not shard contents)
 	shards map[string]*shard
@@ -267,8 +283,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxSeq := uint64(0)
-	haveAny := false
 	for _, e := range entries {
 		if !e.IsDir() || !strings.HasPrefix(e.Name(), "shard") {
 			continue
@@ -288,11 +302,15 @@ func Open(dir string, opts Options) (*Store, error) {
 				sh.principal, filepath.Base(prev.dir), e.Name())
 		}
 		s.shards[sh.principal] = sh
-		for _, r := range sh.recs {
+	}
+	if err := s.openMarks(); err != nil {
+		return nil, fmt.Errorf("store: recovering batch marks: %w", err)
+	}
+	maxSeq, haveAny := uint64(0), false
+	for _, sh := range s.shards {
+		if n := len(sh.recs); n > 0 {
 			haveAny = true
-			if r.Seq > maxSeq {
-				maxSeq = r.Seq
-			}
+			maxSeq = max(maxSeq, sh.recs[n-1].Seq)
 		}
 	}
 	if haveAny {
@@ -474,17 +492,23 @@ func (s *Store) Append(a logs.Action) (uint64, error) {
 			return 0, err
 		}
 	}
+	g := sh.active
+	g.buf = wire.AppendRecordFrameScratch(g.buf[:0], r, g.scratch)
+	if err := g.write(g.buf); err != nil {
+		return 0, err
+	}
 	if s.opts.Fsync {
 		s.metrics.SyncBarriers.Add(1)
 		s.metrics.SegmentSyncs.Add(1)
+		if err := g.sync(); err != nil {
+			return 0, g.rollback(err)
+		}
 	}
-	n, err := sh.active.appendRecord(r, s.opts.Fsync)
-	if err != nil {
-		return 0, err
-	}
+	g.size += int64(len(g.buf))
 	sh.addRec(r)
 	s.metrics.Appends.Add(1)
-	s.metrics.AppendedBytes.Add(uint64(n))
+	s.metrics.AppendedBytes.Add(uint64(len(g.buf)))
+	s.metrics.SegmentWrites.Add(1)
 	s.notifyAppend()
 	return seq, nil
 }
@@ -555,6 +579,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	firstErr := s.syncShards(true)
+	if err := s.marks.f.Close(); err != nil && firstErr == nil {
+		firstErr = err
+	}
 	s.sessions.mu.Lock()
 	if err := s.sessions.syncLocked(); err != nil && firstErr == nil {
 		firstErr = err

@@ -164,9 +164,13 @@ func BenchmarkStoreRecover(b *testing.B) {
 }
 
 // BenchmarkStoreAppendBatch measures the batched durable append path —
-// one acquisition of each touched stripe and a contiguous sequence
-// block per batch — against the same actions appended one by one
-// (batch=1 degenerates to the per-action cost plus batch overhead).
+// one acquisition of each touched stripe, a contiguous sequence block
+// and one write per touched segment per batch — against the same
+// actions appended one by one (batch=1 degenerates to the per-action
+// cost plus batch overhead). The batchN arms spread over 8 principals
+// and count one op per record; batch256x64 is the firehose workload's
+// shape, 256 actions over 64 principals, one op per batch, and reports
+// the segment writes a batch issues.
 func BenchmarkStoreAppendBatch(b *testing.B) {
 	for _, size := range []int{1, 16, 128} {
 		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
@@ -188,6 +192,30 @@ func BenchmarkStoreAppendBatch(b *testing.B) {
 			}
 		})
 	}
+	b.Run("batch256x64", func(b *testing.B) {
+		s, err := store.Open(b.TempDir(), store.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		batch := make([]logs.Action, 256)
+		for j := range batch {
+			batch[j] = logs.SndAct(fmt.Sprintf("p%d", j%64), logs.NameT(fmt.Sprintf("ch%d", j%16)), logs.NameT(fmt.Sprintf("v%d", j)))
+		}
+		if _, err := s.AppendBatch(batch); err != nil { // create the shards
+			b.Fatal(err)
+		}
+		writes := s.Stats().SegmentWrites
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.AppendBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(s.Stats().SegmentWrites-writes)/float64(b.N), "writes/op")
+	})
 }
 
 // BenchmarkStoreAppendBatchFsync measures the durability barrier: one op
