@@ -1,25 +1,37 @@
 // Package harness executes compiled scenarios (internal/scenario)
-// against a real in-process cluster: a leader provd — store, binary
-// ingest listener, HTTP app — plus N replica provds following through
-// per-replica fault proxies, driven by exactly-once provclient
-// sessions. Faults come from the scenario's seeded schedule, so an
-// entire run — workload, fault points, everything — reproduces from
-// one printed seed.
+// against a real in-process cluster: max(1, Spec.Leaders) partition
+// leader provds under one cluster map — store, binary ingest listener,
+// HTTP app — each behind its own fault proxy, N replica provds
+// following leader L0 through per-replica fault proxies, and producers
+// that are internal/cluster routing clients, so each leader sees
+// ordinary exactly-once provclient sessions. A one-leader map is the
+// single-leader cluster. Faults come from the scenario's seeded
+// schedule, so an entire run — workload, fault points, everything —
+// reproduces from one printed seed.
 //
 // After the schedule drains, the harness checks the invariants the
 // rest of the repo promises:
 //
-//   - exactly-once: the leader store is bit-identical to a no-fault
-//     control run of the same workload;
-//   - monotone spine: the global sequence is contiguous, no holes or
-//     duplicates;
-//   - replica convergence: every replica store is bit-identical to
-//     the leader;
-//   - audit parity: every Definition-3 claim gets the same verdict on
-//     the control store, the leader, and every replica;
-//   - session-dedup soundness: each producer's committed batch floor
-//     equals the batches it sent, and every exported session entry's
-//     sequence block is backed by the log.
+//   - per-partition spine: each leader's global sequence is
+//     contiguous, no holes or duplicates;
+//   - exactly-once per principal: each principal's actions,
+//     concatenated across its owner history (a StaleMap epoch moves a
+//     principal at most once), equal the no-fault control's, and no
+//     other leader holds any of them; on one leader the store is also
+//     bit-identical to the control, and each acked base matched the
+//     control's as it was sent;
+//   - merged read plane: a paginated cluster.Fleet walk returns exactly
+//     the control's records, in per-principal order for every principal
+//     that never moved;
+//   - replica convergence: every replica store is bit-identical to L0;
+//   - claim truth and audit parity: every Definition-3 claim gets the
+//     verdict its label gives on the control, the same verdict on the
+//     leader owning its principal (claims naming a moved principal are
+//     skipped: that log is split across two leaders), and on every
+//     replica the verdict L0 gives;
+//   - session-dedup soundness: every exported session entry's sequence
+//     block is backed by its leader's log, and on one leader each
+//     producer's committed batch floor equals the batches it sent.
 //
 // The go test property suite in harness_test.go wraps it.
 package harness
@@ -36,8 +48,9 @@ import (
 	"repro/internal/auth"
 	"repro/internal/cluster"
 	"repro/internal/ingest"
-	"repro/internal/provclient"
+	"repro/internal/logs"
 	"repro/internal/provd"
+	"repro/internal/query"
 	"repro/internal/replica"
 	"repro/internal/scenario"
 	"repro/internal/store"
@@ -74,8 +87,8 @@ type Result struct {
 	LeaderKills   int
 	ReplicaKills  int
 	ClaimsChecked int
-	// ClaimsSkipped counts claims a partitioned run could not judge for
-	// parity: their provenance names a principal a StaleMap epoch moved,
+	// ClaimsSkipped counts claims whose owner parity could not be
+	// judged: their provenance names a principal a StaleMap epoch moved,
 	// so its log is split across two leaders until shards migrate.
 	ClaimsSkipped int
 	// Epochs counts partition-map rollouts injected (multi-leader runs).
@@ -84,30 +97,29 @@ type Result struct {
 }
 
 func (r *Result) String() string {
-	return fmt.Sprintf("seed=%d records=%d batches=%d faults=%v replays=%d gaps=%d bootstraps=%d elapsed=%s",
-		r.Seed, r.Records, r.Batches, r.Faults, r.Replays, r.Gaps, r.Bootstraps, r.Elapsed.Round(time.Millisecond))
+	return fmt.Sprintf("seed=%d records=%d batches=%d faults=%v replays=%d gaps=%d bootstraps=%d epochs=%d claims=%d skipped=%d elapsed=%s",
+		r.Seed, r.Records, r.Batches, r.Faults, r.Replays, r.Gaps, r.Bootstraps, r.Epochs,
+		r.ClaimsChecked, r.ClaimsSkipped, r.Elapsed.Round(time.Millisecond))
 }
 
-// leaderNode is the leader provd: store + binary listener + HTTP app,
-// restartable in place behind stable proxy addresses. The binary
-// listener runs the full mutual-TLS + identity-enforcement stack
-// (clusterAuth), surviving restarts — a recovered leader demands the
-// same certificates the killed one did.
+// leaderNode is one partition leader provd: store + binary listener +
+// HTTP app, restartable in place behind a stable proxy address. The
+// binary listener runs the full mutual-TLS + identity-enforcement stack
+// (clusterAuth) and serves the partition map, refusing appends for
+// principals it does not own; all of it survives restarts — a
+// recovered leader demands the same certificates and keeps the epoch
+// the killed one held.
 type leaderNode struct {
 	dir     string
 	sopts   store.Options
 	tlsConf *tls.Config
 	guard   *auth.Guard
-	// cnode, when set, makes this leader one partition of a multi-leader
-	// fleet: the listener serves the partition map and refuses appends
-	// for principals it does not own. The node survives restarts — a
-	// recovered leader keeps the epoch it held when killed.
-	cnode *cluster.Node
-	st    *store.Store
-	app   *provd.Server
-	ing   *ingest.Server
-	http  *httptest.Server
-	addr  string
+	cnode   *cluster.Node
+	st      *store.Store
+	app     *provd.Server
+	ing     *ingest.Server
+	http    *httptest.Server
+	addr    string
 	// replays accumulates DedupReplays across restarts (Stats reset
 	// with the listener).
 	replays uint64
@@ -122,14 +134,6 @@ func serveHTTP(app *provd.Server) *httptest.Server {
 	return ts
 }
 
-func startLeader(dir string, sopts store.Options, tlsConf *tls.Config, guard *auth.Guard) (*leaderNode, error) {
-	n := &leaderNode{dir: dir, sopts: sopts, tlsConf: tlsConf, guard: guard}
-	if err := n.start(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
 func (n *leaderNode) start() error {
 	st, err := store.Open(n.dir, n.sopts)
 	if err != nil {
@@ -137,12 +141,8 @@ func (n *leaderNode) start() error {
 	}
 	app := provd.NewServer(st, nil)
 	app.SetAuth(n.guard)
-	iopts := ingest.Options{Engine: app.Engine(), TLS: n.tlsConf, Auth: n.guard}
-	if n.cnode != nil {
-		iopts.Cluster = n.cnode
-		app.SetCluster(n.cnode)
-	}
-	ing := ingest.NewServer(st, iopts)
+	app.SetCluster(n.cnode)
+	ing := ingest.NewServer(st, ingest.Options{Engine: app.Engine(), TLS: n.tlsConf, Auth: n.guard, Cluster: n.cnode})
 	addr, err := ing.Listen("127.0.0.1:0")
 	if err != nil {
 		st.Close()
@@ -193,14 +193,6 @@ type replicaNode struct {
 	stallBreaks uint64
 }
 
-func startReplica(dir string, sopts store.Options, proxy *testutil.Proxy, tlsConf *tls.Config, logf func(string, ...any)) (*replicaNode, error) {
-	n := &replicaNode{dir: dir, sopts: sopts, proxy: proxy, tlsConf: tlsConf, logf: logf}
-	if err := n.start(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
 func (n *replicaNode) start() error {
 	st, err := store.Open(n.dir, n.sopts)
 	if err != nil {
@@ -247,10 +239,10 @@ func (n *replicaNode) stop() {
 }
 
 // clusterAuth is the security material one harness run shares: a fresh
-// CA, the leader's mutual-TLS server config, client identities for the
+// CA, the leaders' mutual-TLS server config, client identities for the
 // producers and replicas, and the identity map both surfaces enforce.
 type clusterAuth struct {
-	server   *tls.Config // leader listener + proxy client-facing side
+	server   *tls.Config // leader listeners + proxy client-facing side
 	producer *tls.Config // append-only client identity
 	replica  *tls.Config // read+replica client identity
 	guard    *auth.Guard
@@ -283,16 +275,10 @@ func newClusterAuth() (*clusterAuth, error) {
 	return &clusterAuth{server: server, producer: producer, replica: replicaConf, guard: auth.NewGuard(m)}, nil
 }
 
-// Run executes one compiled scenario and checks every invariant.
-// Specs with Leaders > 1 run the partitioned multi-leader path
-// (partitioned.go); everything else runs the single-leader cluster.
-// A non-nil error always embeds the scenario seed.
+// Run executes one compiled scenario and checks every invariant. A
+// non-nil error always embeds the scenario seed.
 func Run(sc *scenario.Scenario, opts Options) (*Result, error) {
-	exec := run
-	if sc.Spec.Leaders > 1 {
-		exec = runPartitioned
-	}
-	res, err := exec(sc, opts)
+	res, err := run(sc, opts)
 	if err != nil {
 		return res, fmt.Errorf("seed %d: %w", sc.Seed, err)
 	}
@@ -320,7 +306,7 @@ func run(sc *scenario.Scenario, opts Options) (*Result, error) {
 	sopts := store.Options{Fsync: opts.Fsync}
 
 	// The whole binary surface runs the production security stack: a
-	// fresh per-run CA, mutual TLS on the listener, and identity
+	// fresh per-run CA, mutual TLS on every listener, and identity
 	// enforcement — producers hold an append-only grant, replicas a
 	// read+replica grant. Every invariant below is therefore also a
 	// claim about the secured cluster: exactly-once through TLS
@@ -331,81 +317,155 @@ func run(sc *scenario.Scenario, opts Options) (*Result, error) {
 	}
 
 	// The no-fault control: the same batches applied directly, in the
-	// same order. Exactly-once means the faulted cluster ends up
-	// bit-identical to this.
+	// same order. Exactly-once means the faulted fleet ends up holding
+	// exactly this.
 	control, err := store.Open(filepath.Join(dir, "control"), sopts)
 	if err != nil {
 		return nil, err
 	}
 	defer control.Close()
 
-	leader, err := startLeader(filepath.Join(dir, "leader"), sopts, sec.server, sec.guard)
+	// Leaders first. Ownership is a pure function of (epoch, leader IDs,
+	// overrides) — addresses don't enter the hash — so the nodes boot on
+	// a placeholder map and learn the real proxy addresses right after.
+	// Each leader sits behind its own proxy, which terminates TLS
+	// (serving the leader's identity, re-dialing with the producer's) so
+	// the fault relay sees plaintext frames and the map address stays
+	// stable across restarts.
+	L := max(1, sc.Spec.Leaders)
+	mkMap := func(epoch uint64, addrs []string, overrides map[string]int) (*cluster.Map, error) {
+		ls := make([]cluster.Leader, L)
+		for i := range ls {
+			ls[i] = cluster.Leader{ID: fmt.Sprintf("L%d", i), Ingest: addrs[i], TLSName: "leader"}
+		}
+		ov := make(map[string]int, len(overrides))
+		for p, idx := range overrides {
+			ov[p] = idx
+		}
+		m := &cluster.Map{Epoch: epoch, Leaders: ls, Overrides: ov}
+		if err := m.Validate(); err != nil {
+			return nil, err
+		}
+		return m, nil
+	}
+	addrs := make([]string, L)
+	for i := range addrs {
+		addrs[i] = "boot.invalid:0"
+	}
+	m, err := mkMap(1, addrs, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { leader.stop() }()
-
-	// Producers dial the leader through one shared proxy; each replica
-	// follows through its own, so partitions and gaps target one
-	// replica without disturbing the rest of the cluster. The proxies
-	// terminate TLS (serving the leader's identity, re-dialing with the
-	// client's) so the fault relay still sees plaintext frames.
-	leaderProxy, err := testutil.NewProxyTLS(leader.addr, sec.server, sec.producer)
-	if err != nil {
+	leaders := make([]*leaderNode, L)
+	proxies := make([]*testutil.Proxy, L)
+	for i := range leaders {
+		id := m.Leaders[i].ID
+		cnode, err := cluster.NewNode(m, id)
+		if err != nil {
+			return nil, err
+		}
+		n := &leaderNode{
+			dir: filepath.Join(dir, "leader"+id), sopts: sopts,
+			tlsConf: sec.server, guard: sec.guard, cnode: cnode,
+		}
+		if err := n.start(); err != nil {
+			return nil, err
+		}
+		defer n.stop()
+		leaders[i] = n
+		if proxies[i], err = testutil.NewProxyTLS(n.addr, sec.server, sec.producer); err != nil {
+			return nil, err
+		}
+		defer proxies[i].Close()
+		addrs[i] = proxies[i].Addr()
+	}
+	epoch := uint64(1)
+	overrides := make(map[string]int)
+	if m, err = mkMap(epoch, addrs, overrides); err != nil {
 		return nil, err
 	}
-	defer leaderProxy.Close()
+	setMap := func(nm *cluster.Map) error {
+		for _, n := range leaders {
+			if err := n.cnode.SetMap(nm); err != nil {
+				return err
+			}
+		}
+		m = nm
+		return nil
+	}
+	if err := setMap(m); err != nil {
+		return nil, err
+	}
 
+	// Replicas follow L0, each through its own proxy, so partitions and
+	// gaps target one replica without disturbing the rest of the fleet.
 	replicas := make([]*replicaNode, sc.Spec.Replicas)
 	for i := range replicas {
-		proxy, err := testutil.NewProxyTLS(leader.addr, sec.server, sec.replica)
+		proxy, err := testutil.NewProxyTLS(leaders[0].addr, sec.server, sec.replica)
 		if err != nil {
 			return nil, err
 		}
 		defer proxy.Close()
-		r, err := startReplica(filepath.Join(dir, fmt.Sprintf("replica%d", i)), sopts, proxy, sec.replica, logf)
-		if err != nil {
+		r := &replicaNode{dir: filepath.Join(dir, fmt.Sprintf("replica%d", i)), sopts: sopts, proxy: proxy, tlsConf: sec.replica, logf: logf}
+		if err := r.start(); err != nil {
 			return nil, err
 		}
-		defer func() { r.stop() }()
+		defer r.stop()
 		replicas[i] = r
 	}
 
-	// Exactly-once producer sessions. The driver never retries a batch
-	// itself — a second AppendBatch call would mint a fresh session
-	// batch sequence and double-append; all retrying happens inside the
-	// client, where the replay keeps its original batch sequence.
-	producers := make([]*provclient.Client, sc.Spec.Producers)
+	// Producers: routing clients whose per-leader sessions
+	// ("<session>@L<i>") are exactly-once provclient sessions. The driver
+	// never retries a batch itself — a second Append would mint a fresh
+	// session batch sequence and double-append; all retrying happens
+	// inside the client, where the replay keeps its original sequence.
+	// They hold the epoch-1 map: StaleMap rollouts update only the
+	// leaders, so producers must recover in-band.
+	producers := make([]*cluster.Client, sc.Spec.Producers)
 	sent := make([]uint64, sc.Spec.Producers)
 	for p := range producers {
-		producers[p] = provclient.New(leaderProxy.Addr(), provclient.Options{
+		producers[p] = cluster.NewClient(m, cluster.ClientOptions{
 			Conns:          1,
 			Retries:        8,
 			RequestTimeout: 10 * time.Second,
 			Session:        fmt.Sprintf("sim-%d-p%d", sc.Seed, p),
-			TLSConfig:      sec.producer,
+			TLS:            sec.producer,
 		})
 		defer producers[p].Close()
 	}
 
+	// movedFrom/movedTo track each re-homed principal's owner history
+	// (the compiler moves a principal at most once).
+	movedFrom := make(map[string]int)
+	movedTo := make(map[string]int)
 	inject := func(f scenario.Fault) error {
 		res.Faults[f.Kind.String()]++
 		logf("batch %d: inject %s target=%d", f.Batch, f.Kind, f.Target)
 		switch f.Kind {
 		case scenario.DropAck:
-			leaderProxy.ArmAckDrop()
+			// On the proxy of the leader owning the batch's first action,
+			// so the drop fires on this batch's ack.
+			proxies[m.Owner(sc.Batches[f.Batch].Acts[0].Principal)].ArmAckDrop()
 		case scenario.DropConn:
-			leaderProxy.CutConns()
+			for _, p := range proxies {
+				p.CutConns()
+			}
 		case scenario.KillLeader:
 			res.LeaderKills++
-			if err := leader.restart(); err != nil {
+			t := f.Target
+			if t < 0 || t >= L {
+				t = 0
+			}
+			if err := leaders[t].restart(); err != nil {
 				return err
 			}
-			leaderProxy.SetBackend(leader.addr)
-			leaderProxy.CutConns()
-			for _, r := range replicas {
-				r.proxy.SetBackend(leader.addr)
-				r.proxy.CutConns()
+			proxies[t].SetBackend(leaders[t].addr)
+			proxies[t].CutConns()
+			if t == 0 {
+				for _, r := range replicas {
+					r.proxy.SetBackend(leaders[0].addr)
+					r.proxy.CutConns()
+				}
 			}
 		case scenario.KillReplica:
 			res.ReplicaKills++
@@ -416,14 +476,31 @@ func run(sc *scenario.Scenario, opts Options) (*Result, error) {
 			replicas[f.Target].proxy.Heal()
 		case scenario.Gap:
 			replicas[f.Target].proxy.ArmChunkDrop()
+		case scenario.StaleMap:
+			p := scenario.PrincipalName(f.Target)
+			old := m.Owner(p)
+			overrides[p] = (old + 1) % L
+			movedFrom[p], movedTo[p] = old, overrides[p]
+			epoch++
+			nm, err := mkMap(epoch, addrs, overrides)
+			if err != nil {
+				return err
+			}
+			if err := setMap(nm); err != nil {
+				return err
+			}
+			res.Epochs++
+			logf("batch %d: epoch %d moves %s L%d→L%d", f.Batch, epoch, p, old, overrides[p])
 		}
 		return nil
 	}
 
 	// Drive the schedule: faults due before batch b, then batch b on
-	// its producer, with the control store appended in lockstep. The
-	// acked base must match the control's — a divergence here is an
-	// exactly-once violation caught at its first symptom.
+	// its producer, with the control store appended in lockstep. On one
+	// leader the acked base must match the control's — a divergence is
+	// an exactly-once violation caught at its first symptom. Partitions
+	// mint independent spines, so there exactly-once is proven per
+	// principal after the drain.
 	next := 0
 	for b, batch := range sc.Batches {
 		for next < len(sc.Faults) && sc.Faults[next].Batch <= b {
@@ -436,13 +513,13 @@ func run(sc *scenario.Scenario, opts Options) (*Result, error) {
 		if err != nil {
 			return res, fmt.Errorf("control append %d: %w", b, err)
 		}
-		base, err := producers[batch.Producer].AppendBatch(batch.Acts)
+		acks, err := producers[batch.Producer].Append(batch.Acts)
 		if err != nil {
 			return res, fmt.Errorf("batch %d (producer %d): %w", b, batch.Producer, err)
 		}
 		sent[batch.Producer]++
-		if base != wantBase {
-			return res, fmt.Errorf("batch %d: acked base %d, control %d — duplicate or lost batch", b, base, wantBase)
+		if L == 1 && (len(acks) != 1 || acks[0].Base != wantBase) {
+			return res, fmt.Errorf("batch %d: acked %+v, control base %d — duplicate or lost batch", b, acks, wantBase)
 		}
 	}
 	// Trailing faults (final heals; anything scheduled past the last
@@ -458,70 +535,129 @@ func run(sc *scenario.Scenario, opts Options) (*Result, error) {
 		}
 	}
 
-	// Convergence, then the invariant gauntlet.
-	high := leader.st.NextSeq()
-	res.Records = high
-	for i, r := range replicas {
-		if err := testutil.WaitForSeq(r.st, high, opts.ConvergeTimeout); err != nil {
-			return res, fmt.Errorf("replica %d did not converge: %w (status %+v)", i, err, r.rep.Status())
+	// Invariant gauntlet. Totals first: the fleet as a whole holds
+	// exactly the workload.
+	for _, n := range leaders {
+		res.Records += n.st.NextSeq()
+	}
+	if want := control.NextSeq(); res.Records != want {
+		return res, fmt.Errorf("fleet holds %d records, control %d — lost or duplicated batch", res.Records, want)
+	}
+	// Per-partition spine and session soundness.
+	for i, n := range leaders {
+		if err := testutil.CheckSpine(n.st); err != nil {
+			return res, fmt.Errorf("leader %d spine: %w", i, err)
+		}
+		if err := testutil.BackedSessionEntries(n.st); err != nil {
+			return res, fmt.Errorf("leader %d session table: %w", i, err)
 		}
 	}
-
-	// Exactly-once: bit-identical to the no-fault control.
-	if err := testutil.DiffStores(control, leader.st); err != nil {
-		return res, fmt.Errorf("exactly-once violated (leader vs control): %w", err)
+	if L == 1 {
+		// One spine: bit-identical to the control, and each producer's
+		// durable floor is exactly the batches it sent (nothing lost,
+		// nothing double-counted).
+		if err := testutil.DiffStores(control, leaders[0].st); err != nil {
+			return res, fmt.Errorf("exactly-once violated (leader vs control): %w", err)
+		}
+		for p, pc := range producers {
+			if got := leaders[0].st.Sessions().Max(pc.Session() + "@" + m.Leaders[0].ID); got != sent[p] {
+				return res, fmt.Errorf("producer %d: committed floor %d, sent %d batches", p, got, sent[p])
+			}
+		}
 	}
-	// Monotone global-seq spine.
-	if err := testutil.CheckSpine(leader.st); err != nil {
-		return res, fmt.Errorf("leader spine: %w", err)
+	// Exactly-once per principal, across the owner history.
+	perLeader := make([]map[string][]logs.Action, L)
+	for i, n := range leaders {
+		perLeader[i] = actionsByPrincipal(n.st)
 	}
-	// Replica convergence: records bit-identical to the leader.
+	want := actionsByPrincipal(control)
+	for pi := 0; pi < sc.Spec.Principals; pi++ {
+		p := scenario.PrincipalName(pi)
+		holders := []int{m.Owner(p)}
+		if from, ok := movedFrom[p]; ok {
+			holders = []int{from, movedTo[p]}
+		}
+		var got []logs.Action
+		for _, h := range holders {
+			got = append(got, perLeader[h][p]...)
+		}
+		if err := sameActions(got, want[p]); err != nil {
+			return res, fmt.Errorf("principal %s (leaders %v): %w", p, holders, err)
+		}
+		for i := range leaders {
+			if i != holders[0] && i != holders[len(holders)-1] && len(perLeader[i][p]) > 0 {
+				return res, fmt.Errorf("principal %s: %d stray records on non-owner leader %d", p, len(perLeader[i][p]), i)
+			}
+		}
+	}
+	// Merged read plane: a paginated Fleet walk (read identity, direct
+	// leader addresses — the proxies re-dial with the producer's
+	// append-only cert) returns the control's exact records.
+	readAddrs := make([]string, L)
+	for i, n := range leaders {
+		readAddrs[i] = n.addr
+	}
+	readMap, err := mkMap(epoch, readAddrs, overrides)
+	if err != nil {
+		return res, err
+	}
+	rc := cluster.NewClient(readMap, cluster.ClientOptions{
+		Conns: 1, RequestTimeout: 10 * time.Second, TLS: sec.replica,
+	})
+	defer rc.Close()
+	merged, err := walkMerged(cluster.NewFleet(rc))
+	if err != nil {
+		return res, fmt.Errorf("merged walk: %w", err)
+	}
+	if err := checkMerged(merged, want, sc.Spec.Principals, movedFrom); err != nil {
+		return res, err
+	}
+	// Replica convergence: records bit-identical to L0.
 	for i, r := range replicas {
-		if err := testutil.DiffStores(leader.st, r.st); err != nil {
+		if err := testutil.WaitForSeq(r.st, leaders[0].st.NextSeq(), opts.ConvergeTimeout); err != nil {
+			return res, fmt.Errorf("replica %d did not converge: %w (status %+v)", i, err, r.rep.Status())
+		}
+		if err := testutil.DiffStores(leaders[0].st, r.st); err != nil {
 			return res, fmt.Errorf("replica %d diverged: %w", i, err)
 		}
 	}
-	// Definition-3 audit parity: every claim gets one verdict,
-	// everywhere.
+	// Claim truth, then Definition-3 audit parity: the control gives
+	// each claim the verdict its label names, the leader owning the
+	// claim's principal gives the same one, and every replica gives
+	// L0's.
 	for ci, claim := range sc.Claims {
-		want := control.AuditTerm(claim.Term, claim.Prov) == nil
-		if got := leader.st.AuditTerm(claim.Term, claim.Prov) == nil; got != want {
-			return res, fmt.Errorf("claim %d (%s): leader verdict %v, control %v", ci, claim.Term, got, want)
+		verdict := func(st *store.Store) bool { return st.AuditTerm(claim.Term, claim.Prov) == nil }
+		if got := verdict(control); got != claim.Genuine {
+			return res, fmt.Errorf("claim %d (%s:%s): control verdict %v, labelled genuine=%v", ci, claim.Term, claim.Prov, got, claim.Genuine)
 		}
+		l0 := verdict(leaders[0].st)
 		for i, r := range replicas {
-			if got := r.st.AuditTerm(claim.Term, claim.Prov) == nil; got != want {
-				return res, fmt.Errorf("claim %d (%s): replica %d verdict %v, control %v", ci, claim.Term, i, got, want)
+			if got := verdict(r.st); got != l0 {
+				return res, fmt.Errorf("claim %d (%s:%s): replica %d verdict %v, L0 %v", ci, claim.Term, claim.Prov, i, got, l0)
 			}
+		}
+		p := claim.Prov[0].Principal
+		if _, moved := movedFrom[p]; moved {
+			res.ClaimsSkipped++
+			continue
+		}
+		if got := verdict(leaders[m.Owner(p)].st); got != claim.Genuine {
+			return res, fmt.Errorf("claim %d (%s:%s): owner L%d verdict %v, control %v", ci, claim.Term, claim.Prov, m.Owner(p), got, claim.Genuine)
 		}
 		res.ClaimsChecked++
 	}
-	// Session-dedup soundness: each producer's durable floor is exactly
-	// the batches it sent (nothing lost, nothing double-counted), and
-	// every exported session block is backed by the log.
-	for p := range producers {
-		session := producers[p].Session()
-		if got := leader.st.Sessions().Max(session); got != sent[p] {
-			return res, fmt.Errorf("producer %d: committed floor %d, sent %d batches", p, got, sent[p])
-		}
-	}
-	if err := testutil.BackedSessionEntries(leader.st); err != nil {
-		return res, fmt.Errorf("leader session table: %w", err)
-	}
 	// The provd app layer really serves on every node.
-	for i, url := range append([]string{leader.http.URL}, replicaURLs(replicas)...) {
-		resp, err := http.Get(url + "/healthz")
-		if err != nil {
-			return res, fmt.Errorf("node %d healthz: %w", i, err)
+	for i, n := range leaders {
+		if err := healthy(n.http.URL); err != nil {
+			return res, fmt.Errorf("leader %d: %w", i, err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return res, fmt.Errorf("node %d healthz: status %d", i, resp.StatusCode)
-		}
+		res.AcksDropped += proxies[i].AcksDropped()
+		res.Replays += n.replays + n.ing.Stats().DedupReplays
 	}
-
-	res.AcksDropped = leaderProxy.AcksDropped()
-	res.Replays = leader.replays + leader.ing.Stats().DedupReplays
-	for _, r := range replicas {
+	for i, r := range replicas {
+		if err := healthy(r.http.URL); err != nil {
+			return res, fmt.Errorf("replica %d: %w", i, err)
+		}
 		res.ChunksDropped += r.proxy.ChunksDropped()
 		s := r.rep.Status()
 		res.Gaps += r.gaps + s.Gaps
@@ -537,10 +673,110 @@ func run(sc *scenario.Scenario, opts Options) (*Result, error) {
 	return res, nil
 }
 
-func replicaURLs(rs []*replicaNode) []string {
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = r.http.URL
+func healthy(url string) error {
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		return fmt.Errorf("healthz: %w", err)
 	}
-	return out
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("healthz: status %d", resp.StatusCode)
+	}
+	return nil
+}
+
+// actionsByPrincipal walks a store's global log and buckets actions by
+// principal, preserving the store's append order. Sequence numbers are
+// deliberately dropped: partition spines are independent, so only the
+// action sequences are comparable across stores.
+func actionsByPrincipal(st *store.Store) map[string][]logs.Action {
+	out := make(map[string][]logs.Action)
+	var from uint64
+	for {
+		recs := st.ScanGlobal(from, 0, 4096)
+		if len(recs) == 0 {
+			return out
+		}
+		for _, r := range recs {
+			out[r.Act.Principal] = append(out[r.Act.Principal], r.Act)
+		}
+		from = recs[len(recs)-1].Seq + 1
+	}
+}
+
+func sameActions(got, want []logs.Action) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d records, control has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("record %d differs: %+v vs control %+v", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// walkMerged pages the fleet's merged global feed to exhaustion using
+// the vector cursor, exactly as an external reader would.
+func walkMerged(fleet *cluster.Fleet) ([]logs.Action, error) {
+	var out []logs.Action
+	q := query.Query{Limit: 512}
+	for {
+		pg, err := fleet.Run(q)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range pg.Records {
+			out = append(out, r.Act)
+		}
+		if len(pg.Records) == 0 || pg.Cursor == "" {
+			return out, nil
+		}
+		q.Cursor = pg.Cursor
+	}
+}
+
+// checkMerged proves the merged read plane returned exactly the
+// control's actions (want, by principal) — nothing lost, nothing
+// duplicated — and preserved per-principal order for every principal
+// that never changed owner (a moved principal's two segments interleave
+// by per-leader sequence, which has no cross-partition meaning).
+func checkMerged(merged []logs.Action, want map[string][]logs.Action, principals int, movedFrom map[string]int) error {
+	got := make(map[string][]logs.Action)
+	for _, a := range merged {
+		got[a.Principal] = append(got[a.Principal], a)
+	}
+	total := 0
+	for pi := 0; pi < principals; pi++ {
+		p := scenario.PrincipalName(pi)
+		total += len(want[p])
+		check := sameActions
+		if _, moved := movedFrom[p]; moved {
+			check = sameMultiset
+		}
+		if err := check(got[p], want[p]); err != nil {
+			return fmt.Errorf("merged feed, principal %s: %w", p, err)
+		}
+	}
+	if len(merged) != total {
+		return fmt.Errorf("merged feed returned %d records, control holds %d", len(merged), total)
+	}
+	return nil
+}
+
+func sameMultiset(got, want []logs.Action) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d records, control has %d", len(got), len(want))
+	}
+	counts := make(map[logs.Action]int, len(want))
+	for _, a := range want {
+		counts[a]++
+	}
+	for _, a := range got {
+		counts[a]--
+		if counts[a] < 0 {
+			return fmt.Errorf("record %+v appears more often than in control", a)
+		}
+	}
+	return nil
 }

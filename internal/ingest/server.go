@@ -808,11 +808,13 @@ func (s *Server) commitLoop(st *connState, reqs <-chan request) {
 
 // retryableAlone reports whether a failed coalesced AppendBatch is
 // known to have written nothing, making a per-request retry safe.
-// Validation and shard-limit failures are detected before any byte is
-// written; anything else (an I/O error) may have committed a prefix of
-// the round, and re-appending would duplicate records.
+// Validation and shard-cap failures are detected before any byte is
+// written. Anything else is an I/O error: a failed write is truncated
+// back and leaves nothing, but a failed sync leaves the round written
+// and its durability unknown, and the two are not told apart here, so
+// re-appending could duplicate records.
 func retryableAlone(err error) bool {
-	return errors.Is(err, store.ErrInvalidAction) || errors.Is(err, store.ErrShardLimit)
+	return errors.Is(err, store.ErrInvalidAction) || errors.Is(err, store.ErrShardCap)
 }
 
 // outcome is one request's resolved reply, computed during the commit

@@ -3,8 +3,9 @@
 // workload mix, fault plan — into a concrete, fully deterministic
 // Scenario: generated .pc systems (via internal/gen), an ingest
 // workload of producer-attributed batches, a seeded fault schedule,
-// and a set of Definition-3 audit claims whose verdicts every node of
-// a converged cluster must agree on.
+// and a set of Definition-3 audit claims, each labelled genuine or
+// forged, whose labelled verdict every store holding the claim's
+// principal must return.
 //
 // Everything is a pure function of (Spec, seed): compilation never
 // consults time, maps, or any PRNG other than the one derived from the
@@ -138,13 +139,12 @@ type Spec struct {
 	Principals int
 	Channels   int
 	Topology   Topology
-	// Leaders, when > 1, compiles a partitioned multi-leader scenario:
-	// the harness boots that many partition leaders under one cluster
-	// map, drives the workload through routing clients, and KillLeader /
-	// StaleMap faults target partitions instead of "the" leader.
+	// Leaders is how many partition leaders the harness boots under one
+	// cluster map (0 means 1). When > 1, KillLeader faults target one
+	// partition and StaleMap faults roll map epochs.
 	Leaders int
 	// Replicas is the number of read replicas the harness boots behind
-	// the leader.
+	// leader L0.
 	Replicas int
 	// Producers is the number of concurrent exactly-once sessions
 	// driving the workload (round-robin over batches).
@@ -159,8 +159,8 @@ type Spec struct {
 	// Systems is how many closed .pc systems to generate alongside the
 	// workload (the fuzz-corpus half of the scenario).
 	Systems int
-	// Claims is how many Definition-3 audit claims to derive; roughly
-	// half are genuine values from the workload, the rest fabricated.
+	// Claims is how many Definition-3 audit claims to derive: half
+	// genuine (justified by a workload action), half forged.
 	Claims int
 	Faults FaultPlan
 }
@@ -193,34 +193,6 @@ func Default() Spec {
 	}
 }
 
-// MultiLeader is a partitioned-fleet spec for -race property tests:
-// three partition leaders, no replicas, and a fault emphasis on the
-// routing path (lost acks, dying connections, leader restarts per
-// partition, stale-map epochs forcing re-routes).
-func MultiLeader() Spec {
-	return Spec{
-		Name:       "multi-leader",
-		Principals: 6,
-		Channels:   4,
-		Topology:   Ring,
-		Leaders:    3,
-		Producers:  3,
-		Batches:    24,
-		MinBatch:   2,
-		MaxBatch:   10,
-		Mix:        gen.MixSendHeavy(),
-		Systems:    1,
-		Claims:     8,
-		Faults: FaultPlan{
-			DropAck:        140,
-			DropConn:       100,
-			KillLeader:     60,
-			StaleMap:       120,
-			MaxLeaderKills: 2,
-		},
-	}
-}
-
 // Fault is one scheduled injection: before driving batch Batch, apply
 // Kind to Target. Target is a replica index for replica faults and -1
 // for the leader/producer path — except in multi-leader scenarios,
@@ -239,11 +211,15 @@ type Batch struct {
 }
 
 // Claim is one Definition-3 audit claim: a value term and a claimed
-// provenance, to be checked with store.AuditTerm on every node. The
-// invariant is verdict *parity* across nodes, not truth.
+// one-event provenance naming a workload principal, to be checked with
+// store.AuditTerm. Genuine labels the claim's truth on the workload's
+// log: true when an action of the workload justifies it, false for a
+// forgery nothing justifies. A converged cluster must return that
+// verdict on every store holding the principal's log.
 type Claim struct {
-	Term logs.Term
-	Prov syntax.Prov
+	Term    logs.Term
+	Prov    syntax.Prov
+	Genuine bool
 }
 
 // Scenario is a fully expanded, deterministic schedule.
@@ -469,25 +445,37 @@ func Compile(spec Spec, seed int64) *Scenario {
 		}
 	}
 
-	// (4) Audit claims: half target genuine workload values, half
-	// fabricate values no node ever saw. Single-leader scenarios claim
-	// an empty provenance (parity is the invariant, not truth);
-	// multi-leader scenarios claim a single-principal provenance so the
-	// verdict exercises audit locality — it must be identical on the
-	// principal's owning leader and on the no-fault control.
-	for i := 0; i < spec.Claims; i++ {
-		if i%2 == 0 && sc.TotalActions > 0 {
-			b := rng.Intn(len(sc.Batches))
-			acts := sc.Batches[b].Acts
-			a := acts[rng.Intn(len(acts))]
-			cl := Claim{Term: a.A}
-			if spec.Leaders > 1 {
-				cl.Prov = syntax.Seq(syntax.OutEvent(a.Principal, nil))
+	// (4) Audit claims: even-numbered claims are genuine, odd ones
+	// forged, and each is labelled. Both kinds name one principal's
+	// event, so a verdict depends on that principal's log and on nothing
+	// else: a genuine claim (a value a send or receive carried, claimed
+	// with that action's principal and direction) holds on every store
+	// holding the action; a forged one (a value no action carries) holds
+	// on none.
+	var exchanges []logs.Action
+	for _, b := range sc.Batches {
+		for _, a := range b.Acts {
+			if a.Kind == logs.Snd || a.Kind == logs.Rcv {
+				exchanges = append(exchanges, a)
 			}
-			sc.Claims = append(sc.Claims, cl)
-		} else {
-			sc.Claims = append(sc.Claims, Claim{Term: logs.NameT(fmt.Sprintf("forged%d", i))})
 		}
+	}
+	for i := 0; i < spec.Claims; i++ {
+		if i%2 == 0 && len(exchanges) > 0 {
+			a := exchanges[rng.Intn(len(exchanges))]
+			ev := syntax.OutEvent(a.Principal, nil)
+			if a.Kind == logs.Rcv {
+				ev = syntax.InEvent(a.Principal, nil)
+			}
+			sc.Claims = append(sc.Claims, Claim{Term: a.B, Prov: syntax.Seq(ev), Genuine: true})
+			continue
+		}
+		p := prins[rng.Intn(len(prins))]
+		ev := syntax.OutEvent(p, nil)
+		if rng.Intn(2) == 1 {
+			ev = syntax.InEvent(p, nil)
+		}
+		sc.Claims = append(sc.Claims, Claim{Term: logs.NameT(fmt.Sprintf("forged%d", i)), Prov: syntax.Seq(ev)})
 	}
 	return sc
 }

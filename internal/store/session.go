@@ -29,13 +29,6 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrSessionEvicted is returned by a dedup lookup for a batch sequence
-// so far behind the session's newest that it has left the dedup window:
-// the store can no longer tell whether the batch committed, so the only
-// safe answer is an error the client surfaces instead of a blind
-// re-append.
-var ErrSessionEvicted = errors.New("store: batch sequence evicted from dedup window")
-
 // sessionLogName is the session-table checkpoint file, at the store root.
 const sessionLogName = "sessions.log"
 

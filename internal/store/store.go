@@ -1,7 +1,8 @@
 // Package store is a durable, sharded provenance log store: the global
 // monitor log φ of the paper's monitored systems (§3.3), persisted so
-// that Definition-3 audits survive process restarts and scale past one
-// machine's memory.
+// that Definition-3 audits survive process restarts. Only durability is
+// on disk: every record and its indexes also live in memory, so a
+// store's log is bounded by one machine's memory.
 //
 // Layout. Records are sharded by acting principal; each shard is a
 // directory of append-only segment files holding checksummed record
@@ -67,10 +68,6 @@ const MaxPrincipalLen = 120
 // (provd_store_shard_cap_rejects_total).
 var ErrShardCap = errors.New("store: shard limit reached")
 
-// ErrShardLimit is the historical name of ErrShardCap; errors.Is
-// matches either.
-var ErrShardLimit = ErrShardCap
-
 // validateAction checks that the wire codec can round-trip the action
 // and that the store can shard it (an empty principal has no shard key
 // to recover under).
@@ -119,9 +116,10 @@ type Options struct {
 	MaxShards int
 	// SessionWindow is the per-session ingest dedup window (default
 	// 1024): how many batch sequence numbers behind a session's newest
-	// the store still recognises as replays. A batch older than that is
-	// refused (ErrSessionEvicted) rather than risked as a duplicate, so
-	// size it above a client's maximum in-flight batch count.
+	// the store still recognises as replays. A dedup lookup classifies a
+	// batch older than that as SessionEvicted, and ingest refuses it
+	// rather than risk a duplicate, so size the window above a client's
+	// maximum in-flight batch count.
 	SessionWindow int
 	// MaxSessions caps the live ingest session population (default
 	// 1024); each session pins a dedup window in memory and in the

@@ -1,14 +1,16 @@
 package wire
 
 // Snapshot transfer messages: the bulk-bootstrap layer of the binary
-// protocol (docs/protocol.md, "Snapshot transfer"). A read replica that
-// followed the log from sequence zero would pay one follow-stream round
-// trip per chunk of history; the snapshot op instead streams the
-// leader's whole committed prefix — records in ascending sequence
-// order, then the ingest session table, then a resume cursor — so
-// bootstrap is O(snapshot) bulk transfer plus O(delta) follow. Each
-// message travels as one stream frame (stream.go) whose envelope
-// payload is:
+// protocol (docs/protocol.md, "Snapshot transfer"). It streams the
+// leader's committed prefix — records in ascending sequence order, then
+// the ingest session table, then a resume cursor — and bootstrap
+// continues with a follow from that cursor. A follow from sequence zero
+// would stream the same records, in chunks and without round trips; the
+// snapshot is there for two things a follow lacks. Its pinned ceiling
+// vouches for the whole prefix, so the replica applies its chunks across
+// leader holes without gap probes. And it carries the session table, so
+// producers that fail over keep their replay protection. Each message
+// travels as one stream frame (stream.go) whose envelope payload is:
 //
 //	snapshot := op(1) uvarint(id)                               client → server
 //	meta     := op(1) uvarint(id) uvarint(ceil)
