@@ -81,10 +81,16 @@ func lePre(l *Pre, psi Log) bool {
 // idx maps a B term to the ascending positions holding it; only those
 // positions are tried, newest first below n. A nil idx, or a variable B
 // on the left (which ⟦−⟧ never leaves after substitution), falls back
-// to trying every position below n. An audit therefore costs the claim's
-// size times its candidate positions, not the log's length, and the
-// recursion is as deep as the claim, never as the log. Le stays the
-// reference, and the decision for logs that are trees.
+// to trying every position below n. The recursion is as deep as the
+// claim, never as the log, and a φ that holds is usually found on the
+// first path tried: a genuine audit costs about the claim's size times
+// its candidate positions, not the log's length. That is not a bound.
+// A failed branch is retried from scratch, so a φ that does not hold
+// explores every path: when φ's value was forwarded k times, each of
+// φ's d levels has up to k candidates, and the search can cost k^d. A
+// 40-event forged claim over testdata/forwarding-loop.pc runs for more
+// than 20 s; ROADMAP item 11 plans a memoised decision that bounds it.
+// Le stays the reference, and the decision for logs that are trees.
 func LeSpine(phi Log, n int, at func(int) Action, idx map[Term][]int32) bool {
 	return spine{at: at, idx: idx}.le(phi, n)
 }

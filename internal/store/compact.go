@@ -53,9 +53,10 @@ func (s *Store) Compact(principal string) error {
 
 	var merged []wire.Record
 	seen := make(map[uint64]bool)
+	dec := new(wire.Decoder)
 	for _, name := range names {
 		path := segPath(sh.dir, name)
-		recs, cleanLen, data, err := scanSegment(path)
+		recs, cleanLen, data, err := scanSegment(path, dec, nil)
 		if err != nil {
 			return err
 		}

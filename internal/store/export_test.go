@@ -3,7 +3,22 @@ package store
 import (
 	"os"
 	"testing"
+
+	"repro/internal/wire"
 )
+
+// globalSnapshot returns a copy of the merged cross-shard view, oldest
+// first.
+func (s *Store) globalSnapshot() []wire.Record { return s.ScanGlobal(0, 0, -1) }
+
+// refreshGlobal folds new records into the global merge, as every audit
+// and global scan does first, and returns the merge's length.
+func (s *Store) refreshGlobal() int {
+	s.global.mu.Lock()
+	defer s.global.mu.Unlock()
+	s.refreshGlobalLocked()
+	return len(s.global.refs)
+}
 
 // BreakSync makes every fsync of principal's active segment fail while
 // writes to it keep succeeding: the segment's descriptor is swapped for

@@ -66,8 +66,9 @@ func (m *batchMarks) mark(slot int, lo, hi uint64, n int) error {
 // openMarks drops the batches a crash tore, then opens the mark file
 // empty: a slot left from an earlier run could name sequence numbers
 // this run hands out again. It runs on Open, after the shards are
-// recovered.
-func (s *Store) openMarks() error {
+// recovered, and re-reads a shard it cuts with dec, the recovery's
+// decoder.
+func (s *Store) openMarks(dec *wire.Decoder) error {
 	path := filepath.Join(s.dir, marksName)
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -79,7 +80,7 @@ func (s *Store) openMarks() error {
 			continue
 		}
 		lo, hi, n := binary.LittleEndian.Uint64(b[0:]), binary.LittleEndian.Uint64(b[8:]), binary.LittleEndian.Uint64(b[16:])
-		if err := s.dropTorn(lo, hi, n); err != nil {
+		if err := s.dropTorn(lo, hi, n, dec); err != nil {
 			return err
 		}
 	}
@@ -102,7 +103,7 @@ func (s *Store) openMarks() error {
 // shard holding a record past hi means the batch was not in flight at
 // the crash (an old slot whose batch finished long before); then
 // nothing is dropped.
-func (s *Store) dropTorn(lo, hi, n uint64) error {
+func (s *Store) dropTorn(lo, hi, n uint64, dec *wire.Decoder) error {
 	type cut struct {
 		sh   *shard
 		recs int   // the shard's records in the range: its tail
@@ -152,7 +153,7 @@ func (s *Store) dropTorn(lo, hi, n uint64) error {
 		}
 		s.metrics.TruncatedBytes.Add(uint64(g.size - c.off))
 		s.metrics.RecoveredRecords.Add(-uint64(len(c.sh.recs)))
-		sh, err := s.recoverShard(c.sh.dir)
+		sh, err := s.recoverShard(c.sh.dir, dec)
 		if err != nil {
 			return err
 		}

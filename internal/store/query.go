@@ -1,7 +1,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/denote"
@@ -43,19 +45,9 @@ func (s *Store) Len() int {
 	return n
 }
 
-// globalSnapshot returns the merged cross-shard view, records oldest
-// first. Callers must not mutate the returned slice; later refreshes
-// only append beyond its length, so it stays valid without the lock.
-func (s *Store) globalSnapshot() []wire.Record {
-	s.global.mu.Lock()
-	defer s.global.mu.Unlock()
-	s.refreshGlobalLocked()
-	return s.global.recs
-}
-
 // refreshGlobalLocked folds the records appended since the last refresh
 // into the cached merge and its value index; the caller holds
-// global.mu, which makes this the index's only writer. The zero-append
+// global.mu, which makes this the cache's only writer. The zero-append
 // case — an audit service over a quiescent or restarted store — is O(1)
 // after the first merge; otherwise a refresh costs O(new records ·
 // log(new)) plus one walk of the shard map under the stripes, never a
@@ -73,6 +65,12 @@ func (s *Store) globalSnapshot() []wire.Record {
 // numbers — an append that assigned a number and then failed its disk
 // write — is permanently dead for the same reason, so the merge skips
 // it exactly as the old full rebuild did.)
+//
+// Why the references stay valid without the stripes: each shard's recs
+// is captured into views under its stripe, and appends only ever write
+// past the end of a captured prefix (or into a new backing array once
+// the shard outgrows it), so the records a reference names are never
+// written again.
 func (s *Store) refreshGlobalLocked() {
 	g := &s.global
 	if s.nextSeq.Load() == g.upTo && g.idx != nil {
@@ -85,16 +83,26 @@ func (s *Store) refreshGlobalLocked() {
 	// Definition-3 audit could return a wrong verdict. Stripes are
 	// always taken in index order here (as in AppendBatch) and singly
 	// everywhere else, so this cannot deadlock. The hold is one walk
-	// of the shard map and the suffix copies, nothing sorted.
+	// of the shard map and a reference per new record, nothing sorted
+	// and no record copied.
 	for i := range s.stripes {
 		s.stripes[i].Lock()
 	}
-	var fresh []wire.Record
+	type seqRef struct {
+		seq uint64
+		ref recRef
+	}
+	var fresh []seqRef
 	s.mu.RLock()
+	for len(g.views) < len(s.shards) {
+		g.views = append(g.views, nil)
+	}
 	for _, sh := range s.shards {
-		if sh.merged < len(sh.recs) {
-			fresh = append(fresh, sh.recs[sh.merged:]...)
-			sh.merged = len(sh.recs)
+		if v := g.views[sh.num]; len(v) < len(sh.recs) {
+			for p := len(v); p < len(sh.recs); p++ {
+				fresh = append(fresh, seqRef{sh.recs[p].Seq, recRef{sh.num, int32(p)}})
+			}
+			g.views[sh.num] = sh.recs
 		}
 	}
 	s.mu.RUnlock()
@@ -104,14 +112,15 @@ func (s *Store) refreshGlobalLocked() {
 	for i := range s.stripes {
 		s.stripes[i].Unlock()
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Seq < fresh[j].Seq })
+	slices.SortFunc(fresh, func(a, b seqRef) int { return cmp.Compare(a.seq, b.seq) })
 	if g.idx == nil {
 		g.idx = make(map[logs.Term][]int32)
 	}
-	base := len(g.recs)
-	g.recs = append(g.recs, fresh...)
-	for i, r := range fresh {
-		g.idx[r.Act.B] = append(g.idx[r.Act.B], int32(base+i))
+	g.refs = slices.Grow(g.refs, len(fresh))
+	for _, f := range fresh {
+		b := g.views[f.ref.shard][f.ref.pos].Act.B
+		g.idx[b] = append(g.idx[b], int32(len(g.refs)))
+		g.refs = append(g.refs, f.ref)
 	}
 	g.upTo = target
 }
@@ -130,7 +139,15 @@ func (s *Store) ShardLog(principal string) logs.Log {
 // spine on every call, O(n) time and memory: it is for tests and tools.
 // Audits never build it (AuditTerm).
 func (s *Store) GlobalLog() logs.Log {
-	return spineOf(s.globalSnapshot())
+	g := &s.global
+	g.mu.Lock()
+	s.refreshGlobalLocked()
+	acts := make([]logs.Action, len(g.refs))
+	for i := range acts {
+		acts[i] = g.at(i).Act
+	}
+	g.mu.Unlock()
+	return logs.Spine(acts)
 }
 
 // spineOf is the log spine of records given in sequence order.
@@ -146,15 +163,20 @@ func spineOf(recs []wire.Record) logs.Log {
 // value V:κ against the recovered global log: ⟦V:κ⟧ ≼ φ. V may be the
 // unknown-channel symbol ? (logs.UnknownT). The decision is
 // logs.LeSpine over the cached merge and its value index, under the
-// cache's mutex but no stripe, so its cost follows the claim and its
-// candidate records, not the log's length.
+// cache's mutex but no stripe. For a genuine claim its cost follows the
+// claim and its candidate records, not the log's length. A forged claim
+// over a value forwarded again and again is exponential in the claim:
+// every candidate path is tried, nothing learned is kept, and the mutex
+// — which ScanGlobal and ScanGlobalTail also take — is held throughout.
+// A 40-event forged claim over testdata/forwarding-loop.pc runs for
+// more than 20 s (ROADMAP item 11).
 func (s *Store) AuditTerm(t logs.Term, k syntax.Prov) error {
 	s.metrics.Audits.Add(1)
 	claim := denote.DenoteTerm(t, k)
 	g := &s.global
 	g.mu.Lock()
 	s.refreshGlobalLocked()
-	ok := logs.LeSpine(claim, len(g.recs), func(i int) logs.Action { return g.recs[i].Act }, g.idx)
+	ok := logs.LeSpine(claim, len(g.refs), func(i int) logs.Action { return g.at(i).Act }, g.idx)
 	g.mu.Unlock()
 	if !ok {
 		s.metrics.AuditFailures.Add(1)

@@ -8,8 +8,8 @@ import (
 )
 
 // Bounded scan primitives: the storage half of the query engine
-// (internal/query). Each call locks one stripe (or none, for the cached
-// global merge), binary-searches the shard's in-memory indexes to the
+// (internal/query). Each call locks one stripe (or, for the cached
+// global merge, its mutex), binary-searches the shard's in-memory indexes to the
 // requested sequence window, copies out at most max records, and
 // unlocks — so the lock hold and the copy are proportional to the
 // examined slice of the narrowest matching index (for single-dimension
@@ -42,7 +42,7 @@ func (f Filter) matches(r wire.Record) bool {
 // lock. direct means positions are the identity (the whole shard).
 type idxView struct {
 	sh     *shard
-	idx    []int // nil when direct
+	idx    []int32 // nil when direct
 	direct bool
 }
 
@@ -180,29 +180,20 @@ func (s *Store) ScanShardTail(principal string, f Filter, ceil uint64, n int) []
 // with sequence numbers in [from, ceil), ascending; ceil 0 means
 // unbounded, max < 0 means all. Served from the incrementally
 // maintained global merge, so a bounded page against a quiescent store
-// costs a binary search plus the copy.
+// costs a binary search plus the copy, both under the merge's mutex.
 func (s *Store) ScanGlobal(from, ceil uint64, max int) []wire.Record {
 	if max == 0 {
 		return nil
 	}
-	recs := s.globalSnapshot()
-	lo := sort.Search(len(recs), func(i int) bool { return recs[i].Seq >= from })
-	hi := len(recs)
-	if ceil > 0 {
-		hi = sort.Search(len(recs), func(i int) bool { return recs[i].Seq >= ceil })
-	}
-	if hi < lo {
-		hi = lo
-	}
+	g := &s.global
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	s.refreshGlobalLocked()
+	lo, hi := g.window(from, ceil)
 	if max > 0 && hi-lo > max {
 		hi = lo + max
 	}
-	if lo == hi {
-		return nil
-	}
-	out := make([]wire.Record, hi-lo)
-	copy(out, recs[lo:hi])
-	return out
+	return g.copyOut(lo, hi)
 }
 
 // ScanGlobalTail copies the n most recent records of the merged view
@@ -212,20 +203,44 @@ func (s *Store) ScanGlobalTail(ceil uint64, n int) []wire.Record {
 	if n == 0 {
 		return nil
 	}
-	recs := s.globalSnapshot()
-	hi := len(recs)
-	if ceil > 0 {
-		hi = sort.Search(len(recs), func(i int) bool { return recs[i].Seq >= ceil })
-	}
+	g := &s.global
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	s.refreshGlobalLocked()
+	_, hi := g.window(0, ceil)
 	lo := 0
 	if n >= 0 && hi-n > 0 {
 		lo = hi - n
 	}
+	return g.copyOut(lo, hi)
+}
+
+// window binary-searches the merge to the positions holding sequence
+// numbers in [from, ceil) — ceil 0 means unbounded; the caller holds
+// mu.
+func (g *globalCache) window(from, ceil uint64) (lo, hi int) {
+	n := len(g.refs)
+	lo = sort.Search(n, func(i int) bool { return g.at(i).Seq >= from })
+	hi = n
+	if ceil > 0 {
+		hi = sort.Search(n, func(i int) bool { return g.at(i).Seq >= ceil })
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
+}
+
+// copyOut copies the merged records at positions [lo, hi); the caller
+// holds mu.
+func (g *globalCache) copyOut(lo, hi int) []wire.Record {
 	if lo == hi {
 		return nil
 	}
 	out := make([]wire.Record, hi-lo)
-	copy(out, recs[lo:hi])
+	for i := range out {
+		out[i] = *g.at(lo + i)
+	}
 	return out
 }
 

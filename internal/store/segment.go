@@ -135,21 +135,21 @@ func fanOut(n int, do func(i int) error) error {
 	return nil
 }
 
-// scanSegment reads every intact frame of a segment file. It returns the
-// decoded records, the clean prefix length — bytes past cleanLen form a
-// torn or corrupt frame (expected after a crash mid-append) and should be
-// truncated before the segment is appended to again — and the raw file
-// contents, so callers probing the damaged region (tailIsTorn) need not
-// re-read the file. I/O errors are returned as err; frame damage is not
-// an error.
-func scanSegment(path string) (recs []wire.Record, cleanLen int64, data []byte, err error) {
+// scanSegment reads every intact frame of a segment file with dec and
+// appends the decoded records to recs. It returns the extended recs, the
+// clean prefix length — bytes past cleanLen form a torn or corrupt frame
+// (expected after a crash mid-append) and should be truncated before the
+// segment is appended to again — and the raw file contents, so callers
+// probing the damaged region (tailIsTorn) need not re-read the file. I/O
+// errors are returned as err; frame damage is not an error.
+func scanSegment(path string, dec *wire.Decoder, recs []wire.Record) (_ []wire.Record, cleanLen int64, data []byte, err error) {
 	data, err = os.ReadFile(path)
 	if err != nil {
-		return nil, 0, nil, err
+		return recs, 0, nil, err
 	}
 	pos := 0
 	for pos < len(data) {
-		r, n, err := wire.ReadRecordFrame(data[pos:])
+		r, n, err := dec.RecordFrame(data[pos:])
 		if err != nil {
 			// Truncated tail or checksum damage: everything before pos is
 			// still good.

@@ -25,7 +25,7 @@ func BenchmarkGlobalSnapshotAfterAppend(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			s.globalSnapshot() // warm the cache
+			s.refreshGlobal() // warm the cache
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -33,8 +33,8 @@ func BenchmarkGlobalSnapshotAfterAppend(b *testing.B) {
 				if _, err := s.Append(a); err != nil {
 					b.Fatal(err)
 				}
-				if recs := s.globalSnapshot(); len(recs) != base+i+1 {
-					b.Fatalf("snapshot holds %d records, want %d", len(recs), base+i+1)
+				if n := s.refreshGlobal(); n != base+i+1 {
+					b.Fatalf("snapshot holds %d records, want %d", n, base+i+1)
 				}
 			}
 		})

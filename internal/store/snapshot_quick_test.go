@@ -282,3 +282,150 @@ func FuzzSnapshotIncremental(f *testing.F) {
 		checkSnapshotMatchesRebuild(t, s)
 	})
 }
+
+// checkGlobalMatchesShards walks the global merge in pages and checks
+// every page against the shards: strictly ascending, and each record
+// exactly what a scan of its own shard returns for its sequence number.
+func checkGlobalMatchesShards(t *testing.T, s *Store, from uint64) {
+	t.Helper()
+	for {
+		page := s.ScanGlobal(from, 0, 64)
+		if len(page) == 0 {
+			return
+		}
+		for i, r := range page {
+			if r.Seq < from || (i > 0 && r.Seq <= page[i-1].Seq) {
+				t.Fatalf("global page out of order at seq %d (from %d)", r.Seq, from)
+			}
+			got := s.ScanShard(r.Act.Principal, Filter{}, r.Seq, r.Seq+1, 1)
+			if len(got) != 1 || got[0] != r {
+				t.Fatalf("global record %d %v, shard scan of that seq %v", r.Seq, r.Act, got)
+			}
+		}
+		from = page[len(page)-1].Seq + 1
+	}
+}
+
+// TestGlobalReadsMatchShardScans runs AppendBatch, ScanShard,
+// ScanGlobal, AuditTerm and Compact at once (run with -race). The
+// global merge refers into the shards' record slices rather than
+// copying them, so every global page must agree record for record with
+// the shard scans of the same sequence numbers — including after a
+// shard outgrows the backing array the merge last captured.
+func TestGlobalReadsMatchShardScans(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{SegmentBytes: 1024, Stripes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	// Fill one shard to its capacity, let the merge capture it, then
+	// outgrow it: the merge still holds the old array, the shard a new
+	// one, and both must read the same.
+	for {
+		if _, err := s.Append(logs.SndAct("p0", logs.NameT("ch0"), logs.NameT("v0"))); err != nil {
+			t.Fatal(err)
+		}
+		st := s.stripeFor("p0")
+		st.Lock()
+		recs := s.shards["p0"].recs
+		full := len(recs) == cap(recs) && len(recs) >= 8
+		st.Unlock()
+		if full {
+			break
+		}
+	}
+	s.refreshGlobal()
+	if _, err := s.Append(logs.RcvAct("p0", logs.NameT("ch0"), logs.NameT("v0"))); err != nil {
+		t.Fatal(err)
+	}
+	st := s.stripeFor("p0")
+	st.Lock()
+	sh := s.shards["p0"]
+	s.global.mu.Lock()
+	moved := &sh.recs[0] != &s.global.views[sh.num][0]
+	s.global.mu.Unlock()
+	st.Unlock()
+	if !moved {
+		t.Fatal("the append did not move the shard to a new array; the test lost its point")
+	}
+	checkGlobalMatchesShards(t, s, 0)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(300 + w)))
+			for i := 0; i < 120; i++ {
+				batch := make([]logs.Action, 1+rng.Intn(12))
+				for j := range batch {
+					batch[j] = randAction(rng)
+				}
+				if _, err := s.AppendBatch(batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var rwg sync.WaitGroup
+	reader := func(f func(rng *rand.Rand)) {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			rng := rand.New(rand.NewSource(400))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				f(rng)
+			}
+		}()
+	}
+	reader(func(rng *rand.Rand) { // shard scans
+		p := fmt.Sprintf("p%d", rng.Intn(6))
+		recs := s.ScanShard(p, Filter{}, uint64(rng.Intn(200)), 0, 32)
+		for i := 1; i < len(recs); i++ {
+			if recs[i-1].Seq >= recs[i].Seq {
+				t.Errorf("shard %s scan out of order: %d then %d", p, recs[i-1].Seq, recs[i].Seq)
+			}
+		}
+	})
+	reader(func(rng *rand.Rand) { // global pages against the shards
+		checkGlobalMatchesShards(t, s, uint64(rng.Intn(200)))
+	})
+	reader(func(rng *rand.Rand) { // audits of merged records
+		tail := s.ScanGlobalTail(0, 16)
+		if len(tail) == 0 {
+			return
+		}
+		a := tail[rng.Intn(len(tail))].Act
+		if a.Kind != logs.Snd && a.Kind != logs.Rcv {
+			return
+		}
+		ev := syntax.OutEvent(a.Principal, nil)
+		if a.Kind == logs.Rcv {
+			ev = syntax.InEvent(a.Principal, nil)
+		}
+		if err := s.AuditTerm(a.B, syntax.Seq(ev)); err != nil {
+			t.Errorf("merged record %s: %v", a, err)
+		}
+	})
+	reader(func(rng *rand.Rand) { // compactions
+		if err := s.Compact(fmt.Sprintf("p%d", rng.Intn(6))); err != nil {
+			t.Error(err)
+		}
+	})
+	wg.Wait()
+	close(stop)
+	rwg.Wait()
+	if t.Failed() {
+		return
+	}
+	checkGlobalMatchesShards(t, s, 0)
+	checkSnapshotMatchesRebuild(t, s)
+}

@@ -2,7 +2,9 @@
 // monitor log φ of the paper's monitored systems (§3.3), persisted so
 // that Definition-3 audits survive process restarts. Only durability is
 // on disk: every record and its indexes also live in memory, so a
-// store's log is bounded by one machine's memory.
+// store's log is bounded by one machine's memory. Each record is held
+// there once, in its shard; the shard indexes and the merged global
+// view refer to it by position (docs/operations.md, "Store memory").
 //
 // Layout. Records are sharded by acting principal; each shard is a
 // directory of append-only segment files holding checksummed record
@@ -28,11 +30,12 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -156,21 +159,25 @@ func (o Options) withDefaults() Options {
 }
 
 // shard holds one principal's records: its segment files and the
-// in-memory index rebuilt at open. recs is ordered by sequence number.
+// in-memory index rebuilt at open. recs is ordered by sequence number
+// and is the only copy of each record the store keeps: the global
+// merge refers to it by position (see globalCache). recs only ever
+// grows at its end, so any prefix of it, once taken, never changes.
 type shard struct {
 	principal string
 	dir       string
-	active    *segment
-	sealed    []string // sealed segment file names, append order
-	recs      []wire.Record
-	byChan    map[string][]int // recs indexes per channel name (snd/rcv actions)
-	byKind    [4][]int         // recs indexes per ActKind
+	// num is the shard's dense index among the store's shards, fixed
+	// when the shard is created: the global merge's references name a
+	// shard by it.
+	num    int32
+	active *segment
+	sealed []string // sealed segment file names, append order
+	recs   []wire.Record
+	byChan map[string][]int32 // recs indexes per channel name (snd/rcv actions)
+	byKind [4][]int32         // recs indexes per ActKind
 	// count mirrors len(recs) atomically so size queries (Len, Counts,
 	// /metrics, /principals) never need the stripe lock.
 	count atomic.Int64
-	// merged counts the records already folded into the global merge;
-	// guarded by the global cache's mutex (see refreshGlobalLocked).
-	merged int
 	// compacting serialises compactions of this shard (the heavy I/O
 	// runs outside the stripe lock; see Compact).
 	compacting bool
@@ -183,7 +190,18 @@ type shard struct {
 }
 
 func (sh *shard) addRec(r wire.Record) {
-	i := len(sh.recs)
+	if r.Act.Principal == sh.principal {
+		r.Act.Principal = sh.principal // one string per shard, not per record
+	}
+	i := int32(len(sh.recs))
+	if n := len(sh.recs); n == cap(sh.recs) && n < 256 {
+		// Below 256 elements append doubles, and a store holds
+		// thousands of small shards, each up to half empty from its
+		// last growth on. Growing by a quarter bounds the spare room at
+		// a quarter of the records, for a few more copies of small
+		// slices; above 256, append's own growth eases toward a quarter.
+		sh.recs = append(slices.Grow([]wire.Record(nil), n+n/4+4), sh.recs...)
+	}
 	sh.recs = append(sh.recs, r)
 	sh.byKind[int(r.Act.Kind)] = append(sh.byKind[int(r.Act.Kind)], i)
 	if r.Act.Kind == logs.Snd || r.Act.Kind == logs.Rcv {
@@ -212,7 +230,7 @@ type Store struct {
 
 	stripes []sync.Mutex // shard contents are guarded by their stripe
 
-	// global caches the merged view of all shards (see globalSnapshot):
+	// global caches the merged view of all shards (see refreshGlobalLocked):
 	// audits against a quiescent store pay the merge once, not per query.
 	global globalCache
 
@@ -230,18 +248,34 @@ type Store struct {
 }
 
 // globalCache memoises the cross-shard merge keyed on the sequence
-// counter: any append bumps the counter and marks it stale. The cache
-// is maintained *incrementally* — each shard's merged count says how
-// many of its records are already in recs, and a refresh folds only the
-// new suffixes in — so a mixed append/audit workload pays O(new
-// records) per audit, not O(total log). idx is the value index
-// logs.LeSpine decides audits with: each B term's ascending positions
-// in recs. See refreshGlobalLocked for the invariants.
+// counter: any append bumps the counter and marks it stale. It copies
+// no record. refs is the merged log, oldest first, as references into
+// views, and views[n] is shard n's recs as captured at the last
+// refresh — a prefix of the shard's slice, which appends never change,
+// so it is read under mu alone. A reference is a shard number and a
+// position, not a pointer: a pointer would keep alive every backing
+// array a shard has outgrown. The cache is maintained *incrementally*
+// — a shard's captured length says how many of its records are already
+// merged, and a refresh folds only the new suffixes in — so a mixed
+// append/audit workload pays O(new records) per audit, not O(total
+// log). idx is the value index logs.LeSpine decides audits with: each
+// B term's ascending positions in refs. See refreshGlobalLocked for the
+// invariants. Every field is guarded by mu.
 type globalCache struct {
-	mu   sync.Mutex
-	upTo uint64 // nextSeq value the cache was built at
-	recs []wire.Record
-	idx  map[logs.Term][]int32 // nil until the first refresh
+	mu    sync.Mutex
+	upTo  uint64 // nextSeq value the cache was built at
+	views [][]wire.Record
+	refs  []recRef
+	idx   map[logs.Term][]int32 // nil until the first refresh
+}
+
+// recRef locates one merged record: views[shard][pos].
+type recRef struct{ shard, pos int32 }
+
+// at returns the i-th record of the merged log; the caller holds mu.
+func (g *globalCache) at(i int) *wire.Record {
+	r := g.refs[i]
+	return &g.views[r.shard][r.pos]
 }
 
 // shardDirName maps a principal to a filesystem-safe shard directory
@@ -264,6 +298,11 @@ func shardDirName(principal string) string {
 	return fmt.Sprintf("shard+%x", principal)
 }
 
+// recoverInternEntries bounds the names Open shares among recovered
+// records; a store with more distinct names keeps a copy of the rest
+// per record.
+const recoverInternEntries = 1 << 18
+
 // Open opens (creating if needed) a store rooted at dir and recovers all
 // shards found there.
 func Open(dir string, opts Options) (*Store, error) {
@@ -281,11 +320,17 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One decoder and one interner for the whole recovery: recovered
+	// records share their channel and value names rather than holding a
+	// fresh copy of each. The interner lives until Open returns; its
+	// bound caps that transient map, not what the records keep.
+	dec := new(wire.Decoder)
+	dec.SetInterner(wire.NewInternerLimit(recoverInternEntries))
 	for _, e := range entries {
 		if !e.IsDir() || !strings.HasPrefix(e.Name(), "shard") {
 			continue
 		}
-		sh, err := s.recoverShard(filepath.Join(dir, e.Name()))
+		sh, err := s.recoverShard(filepath.Join(dir, e.Name()), dec)
 		if err != nil {
 			return nil, fmt.Errorf("store: recovering %s: %w", e.Name(), err)
 		}
@@ -301,11 +346,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		s.shards[sh.principal] = sh
 	}
-	if err := s.openMarks(); err != nil {
+	if err := s.openMarks(dec); err != nil {
 		return nil, fmt.Errorf("store: recovering batch marks: %w", err)
 	}
 	maxSeq, haveAny := uint64(0), false
+	num := int32(0)
 	for _, sh := range s.shards {
+		sh.num = num
+		num++
 		if n := len(sh.recs); n > 0 {
 			haveAny = true
 			maxSeq = max(maxSeq, sh.recs[n-1].Seq)
@@ -322,11 +370,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// recoverShard rebuilds one shard from its directory: scan segments,
-// truncate torn tails, deduplicate sequence numbers and reopen the last
-// segment for appending. It returns nil for a shard directory with no
-// surviving records and no segments.
-func (s *Store) recoverShard(dir string) (*shard, error) {
+// recoverShard rebuilds one shard from its directory: scan segments
+// with dec, truncate torn tails, deduplicate sequence numbers and
+// reopen the last segment for appending. It returns nil for a shard
+// directory with no surviving records and no segments.
+func (s *Store) recoverShard(dir string, dec *wire.Decoder) (*shard, error) {
 	names, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -334,12 +382,14 @@ func (s *Store) recoverShard(dir string) (*shard, error) {
 	if len(names) == 0 {
 		return nil, nil
 	}
-	sh := &shard{dir: dir, byChan: make(map[string][]int)}
-	seen := make(map[uint64]bool)
+	sh := &shard{dir: dir, byChan: make(map[string][]int32)}
+	var all []wire.Record
 	var lastClean int64
 	for i, name := range names {
 		path := segPath(dir, name)
-		recs, cleanLen, data, err := scanSegment(path)
+		var cleanLen int64
+		var data []byte
+		all, cleanLen, data, err = scanSegment(path, dec, all)
 		if err != nil {
 			return nil, err
 		}
@@ -363,32 +413,27 @@ func (s *Store) recoverShard(dir string) (*shard, error) {
 				return nil, err
 			}
 		}
-		for _, r := range recs {
-			if seen[r.Seq] {
-				continue // crash mid-compaction left a merged copy behind
-			}
-			seen[r.Seq] = true
-			if sh.principal == "" {
-				sh.principal = r.Act.Principal
-			}
-			sh.recs = append(sh.recs, r)
-			s.metrics.RecoveredRecords.Add(1)
-		}
 		if i == len(names)-1 {
 			lastClean = cleanLen
 		}
 	}
-	if sh.principal == "" {
+	if len(all) > 0 {
+		sh.principal = all[0].Act.Principal
+	} else {
 		// Segments exist but hold no records (e.g. a fresh segment created
 		// just before a crash): derive the principal from the directory
 		// name so the shard can be reused.
 		sh.principal = principalFromDir(filepath.Base(dir))
 	}
-	sort.Slice(sh.recs, func(i, j int) bool { return sh.recs[i].Seq < sh.recs[j].Seq })
-	// Rebuild indexes from the (now sorted, deduplicated) records.
-	recs := sh.recs
-	sh.recs = nil
-	for _, r := range recs {
+	slices.SortFunc(all, func(a, b wire.Record) int { return cmp.Compare(a.Seq, b.Seq) })
+	// A crash mid-compaction leaves a merged copy of records beside
+	// their sources; after the sort the copies are neighbours.
+	all = slices.CompactFunc(all, func(a, b wire.Record) bool { return a.Seq == b.Seq })
+	s.metrics.RecoveredRecords.Add(uint64(len(all)))
+	// Rebuild indexes from the sorted, deduplicated records, into a
+	// slice of their exact size.
+	sh.recs = make([]wire.Record, 0, len(all))
+	for _, r := range all {
 		sh.addRec(r)
 	}
 	last := names[len(names)-1]
@@ -458,7 +503,7 @@ func (s *Store) shardFor(principal string) (*shard, error) {
 			return nil, err
 		}
 	}
-	sh = &shard{principal: principal, dir: dir, byChan: make(map[string][]int)}
+	sh = &shard{principal: principal, dir: dir, num: int32(len(s.shards)), byChan: make(map[string][]int32)}
 	s.shards[principal] = sh
 	return sh, nil
 }

@@ -18,7 +18,8 @@ package wire
 // batches and goroutines; an Interner itself is single-owner (one per
 // decoding connection), not safe for concurrent use.
 type Interner struct {
-	m map[string]string
+	m     map[string]string
+	limit int // entries the cache may grow to
 }
 
 const (
@@ -31,8 +32,14 @@ const (
 )
 
 // NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	return &Interner{m: make(map[string]string)}
+func NewInterner() *Interner { return NewInternerLimit(maxInternEntries) }
+
+// NewInternerLimit returns an empty interner that caches up to entries
+// strings: for a decoder reading trusted bytes whose vocabulary is
+// larger than one connection's, such as a store recovering its own
+// segments, where every repeated name cached is one copy fewer kept.
+func NewInternerLimit(entries int) *Interner {
+	return &Interner{m: make(map[string]string), limit: entries}
 }
 
 // Intern returns the canonical string for b, allocating only on first
@@ -42,7 +49,7 @@ func (it *Interner) Intern(b []byte) string {
 		return s
 	}
 	s := string(b)
-	if len(b) <= maxInternLen && len(it.m) < maxInternEntries {
+	if len(b) <= maxInternLen && len(it.m) < it.limit {
 		it.m[s] = s
 	}
 	return s

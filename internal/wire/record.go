@@ -100,6 +100,15 @@ func AppendRecordFrameScratch(dst []byte, r Record, scratch *Encoder) []byte {
 // mid-write); a complete frame whose payload fails its checksum yields
 // ErrChecksum.
 func ReadRecordFrame(b []byte) (Record, int, error) {
+	var d Decoder
+	return d.RecordFrame(b)
+}
+
+// RecordFrame is ReadRecordFrame decoding through d, the shape of a
+// segment scan: one decoder serves every frame of a file, and an
+// interner set on it (SetInterner) lets the records it returns share
+// their repeated names instead of holding a copy each.
+func (d *Decoder) RecordFrame(b []byte) (Record, int, error) {
 	n, ln := binary.Uvarint(b)
 	if ln <= 0 {
 		return Record{}, 0, ErrTruncated
@@ -116,8 +125,14 @@ func ReadRecordFrame(b []byte) (Record, int, error) {
 	if crc32.Checksum(env, crcTable) != sum {
 		return Record{}, 0, ErrChecksum
 	}
-	r, err := DecodeRecord(env)
+	if err := d.Reset(env); err != nil {
+		return Record{}, 0, err
+	}
+	r, err := d.Record()
 	if err != nil {
+		return Record{}, 0, err
+	}
+	if err := d.Done(); err != nil {
 		return Record{}, 0, err
 	}
 	return r, total, nil
