@@ -143,7 +143,7 @@ func main() {
 		addr         = flag.String("addr", ":7709", "listen address (HTTP/JSON)")
 		ingestAddr   = flag.String("ingest-addr", ":7710", "binary pipelined ingest listen address (empty disables)")
 		dir          = flag.String("dir", "provd-data", "store root directory")
-		stripes      = flag.Int("stripes", 16, "append lock stripes")
+		stripes      = flag.Int("stripes", 16, "append lock stripes (1-64)")
 		segBytes     = flag.Int64("segment-bytes", 1<<20, "segment rotation threshold")
 		fsync        = flag.Bool("fsync", true, "fsync every append")
 		maxShards    = flag.Int("max-shards", 4096, "principal cap (one open segment fd per shard)")

@@ -49,9 +49,6 @@ type ClientOptions struct {
 	DialTimeout    time.Duration
 	RequestTimeout time.Duration
 	Retries        int
-	// MapRetries bounds how many map refresh + re-route rounds one
-	// slice may take before its error surfaces (default 2).
-	MapRetries int
 	// TLS is the template config for every leader dial; each leader's
 	// clone sets ServerName to the leader's TLSName when the map names
 	// one.
@@ -77,11 +74,12 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.MaxBatch > wire.MaxIngestBatch {
 		o.MaxBatch = wire.MaxIngestBatch
 	}
-	if o.MapRetries <= 0 {
-		o.MapRetries = 2
-	}
 	return o
 }
+
+// mapRetries bounds how many map refresh + re-route rounds one slice
+// may take before its error surfaces.
+const mapRetries = 2
 
 // PartitionAck reports one leader's share of an Append.
 type PartitionAck struct {
@@ -323,7 +321,7 @@ func (c *Client) sendSlice(m *Map, idx int, slice []logs.Action, depth int, col 
 		col.add(l.ID, base, len(slice))
 		return nil
 	}
-	if !isClusterReject(err) || depth >= c.opts.MapRetries {
+	if !isClusterReject(err) || depth >= mapRetries {
 		return err
 	}
 	// The leader's map disagrees with ours and nothing was appended:
@@ -347,25 +345,14 @@ func (c *Client) sendSlice(m *Map, idx int, slice []logs.Action, depth int, col 
 }
 
 // AppendBatch routes a batch and returns only the error — the
-// runtime.BatchSink-compatible shape (see Append for acks).
+// runtime.Sink-compatible shape (see Append for acks).
 func (c *Client) AppendBatch(acts []logs.Action) error {
 	_, err := c.Append(acts)
 	return err
 }
 
-// AppendActions implements runtime.BatchSink.
+// AppendActions implements runtime.Sink.
 func (c *Client) AppendActions(batch []logs.Action) error { return c.AppendBatch(batch) }
-
-// AppendAction implements runtime.Sink: the action routes to its
-// owner's client and rides that leader's group-commit batcher.
-func (c *Client) AppendAction(a logs.Action) error {
-	m := c.Map()
-	cl, err := c.leaderClient(m.OwnerLeader(a.Principal))
-	if err != nil {
-		return err
-	}
-	return cl.AppendAction(a)
-}
 
 // Leader exposes the underlying exactly-once client for one leader —
 // the read plane (fleet queries, audits) is built on these.

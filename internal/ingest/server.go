@@ -75,16 +75,25 @@ import (
 	"repro/internal/wire"
 )
 
+const (
+	// connQueue is the per-connection pending-request bound. A full
+	// queue blocks that connection's reader — per-connection
+	// backpressure, not global.
+	connQueue = 256
+	// maxRoundActions caps how many actions one commit round hands to
+	// store.AppendBatch, bounding the store lock hold of a single round
+	// under a firehose of pipelined requests.
+	maxRoundActions = 1 << 15
+	// drainWriteTimeout bounds reply writes once Close begins, and a
+	// TLS handshake. Healthy clients drain their acks and query ends
+	// well inside it; a stalled reader (full TCP buffer under a live
+	// follow) has its blocked writes failed after the timeout instead
+	// of wedging Close forever.
+	drainWriteTimeout = 5 * time.Second
+)
+
 // Options tunes the listener.
 type Options struct {
-	// Queue is the per-connection pending-request bound (default 256).
-	// A full queue blocks that connection's reader — per-connection
-	// backpressure, not global.
-	Queue int
-	// MaxRoundActions caps how many actions one commit round hands to
-	// store.AppendBatch (default 1<<15), bounding the store lock hold
-	// of a single round under a firehose of pipelined requests.
-	MaxRoundActions int
 	// Policy is the disclosure policy queries are redacted under (nil =
 	// full disclosure) — the same policy provd's HTTP surface applies,
 	// so the binary read path discloses exactly what HTTP would.
@@ -100,12 +109,6 @@ type Options struct {
 	// follows) per connection (default 8); one past the cap is rejected
 	// with a query-end error, the connection survives.
 	MaxQueriesPerConn int
-	// DrainWriteTimeout bounds reply writes once Close begins (default
-	// 5s). Healthy clients drain their acks and query ends well inside
-	// it; a stalled reader (full TCP buffer under a live follow) has
-	// its blocked writes failed after the timeout instead of wedging
-	// Close forever.
-	DrainWriteTimeout time.Duration
 	// LeaderAddr, when set, makes the listener a read replica's: all
 	// append traffic (hello, batches) is refused with an error naming
 	// this leader ingest address, while queries, follows and snapshots
@@ -164,17 +167,8 @@ type ClusterView interface {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Queue <= 0 {
-		o.Queue = 256
-	}
-	if o.MaxRoundActions <= 0 {
-		o.MaxRoundActions = 1 << 15
-	}
 	if o.MaxQueriesPerConn <= 0 {
 		o.MaxQueriesPerConn = 8
-	}
-	if o.DrainWriteTimeout <= 0 {
-		o.DrainWriteTimeout = 5 * time.Second
 	}
 	if o.IdlePark <= 0 {
 		o.IdlePark = 2 * time.Second
@@ -357,7 +351,7 @@ func (s *Server) Close() {
 	now := time.Now()
 	for c := range s.conns {
 		c.SetReadDeadline(now)
-		c.SetWriteDeadline(now.Add(s.opts.DrainWriteTimeout))
+		c.SetWriteDeadline(now.Add(drainWriteTimeout))
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -415,7 +409,7 @@ func (s *Server) handle(conn net.Conn) {
 // sentry calls serveConn again when bytes arrive, so an idle
 // connection's server-side presence is its connState and its sentry.
 func (s *Server) serveConn(st *connState) {
-	reqs := make(chan request, s.opts.Queue)
+	reqs := make(chan request, connQueue)
 	cq := newConnQueries()
 	committerDone := make(chan struct{})
 	go func() {
@@ -459,7 +453,7 @@ func (s *Server) identify(conn net.Conn, replies *replyWriter) (*auth.Grant, boo
 		// stalls must not pin a handler goroutine forever, and the
 		// handshake must not run lazily under the reply writer where a
 		// failure is indistinguishable from a write error.
-		conn.SetDeadline(time.Now().Add(s.opts.DrainWriteTimeout))
+		conn.SetDeadline(time.Now().Add(drainWriteTimeout))
 		if err := tc.Handshake(); err != nil {
 			s.connFails.Add(1)
 			return nil, false
@@ -779,7 +773,7 @@ func (s *Server) commitLoop(st *connState, reqs <-chan request) {
 		cs.round = append(cs.round[:0], req)
 		total := len(req.acts)
 	coalesce:
-		for total < s.opts.MaxRoundActions {
+		for total < maxRoundActions {
 			select {
 			case r, more := <-reqs:
 				if !more {

@@ -20,12 +20,12 @@
 // second concurrent group would only halve the batch and double the
 // requests.
 //
-// Client implements runtime.Sink and runtime.BatchSink, so it can be
-// installed directly with Net.SetSink: the runtime's ordered async
-// pipeline drains its queue into AppendActions, which forwards each
-// drained batch as one ingest request. On failure the prefix guarantee
-// BatchSink demands holds: a multi-chunk batch stops at the first
-// failed chunk, and within a chunk the store applies a prefix.
+// Client implements runtime.Sink, so it can be installed directly with
+// Net.SetSink: the runtime's ordered async pipeline drains its queue
+// into AppendActions, which forwards each drained batch as one ingest
+// request. On failure the prefix guarantee runtime.Sink demands holds:
+// a multi-chunk batch stops at the first failed chunk, and the store
+// commits a chunk all or nothing.
 //
 // Delivery is exactly-once. Every client owns an idempotency session
 // (Options.Session, random by default): each connection opens with the
@@ -353,8 +353,7 @@ func (c *Client) run(g *group) {
 // (base+i for action i). Larger batches are split into MaxBatch-sized
 // requests — still appended in order, but each chunk gets its own
 // block, contiguous only within itself. A failure means a prefix of
-// whole chunks (plus a store-applied prefix of the failing chunk)
-// committed.
+// whole chunks committed: the failing chunk committed nothing.
 func (c *Client) AppendBatch(acts []logs.Action) (uint64, error) {
 	if c.isClosed() {
 		return 0, ErrClosed
@@ -362,13 +361,7 @@ func (c *Client) AppendBatch(acts []logs.Action) (uint64, error) {
 	return c.send(acts)
 }
 
-// AppendAction implements runtime.Sink.
-func (c *Client) AppendAction(a logs.Action) error {
-	_, err := c.Append(a)
-	return err
-}
-
-// AppendActions implements runtime.BatchSink: the runtime pipeline's
+// AppendActions implements runtime.Sink: the runtime pipeline's
 // drained batches forward as ingest requests.
 func (c *Client) AppendActions(batch []logs.Action) error {
 	_, err := c.AppendBatch(batch)

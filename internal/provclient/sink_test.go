@@ -23,7 +23,7 @@ func TestRuntimeRemoteMirror(t *testing.T) {
 
 	n := runtime.NewNet()
 	defer n.Close()
-	n.SetSink(c) // Client is a runtime.BatchSink: drained batches forward as ingest requests
+	n.SetSink(c) // Client is a runtime.Sink: drained batches forward as ingest requests
 
 	alice := n.Register("alice")
 	bob := n.Register("bob")

@@ -69,15 +69,14 @@ func (b *localBackend) refuseWrite(w http.ResponseWriter, r *http.Request) bool 
 	return true
 }
 
-// appendActions appends under one store lock round; a batch receives a
-// contiguous block of sequence numbers, in body order, starting at the
-// returned seq.
+// appendActions appends under one store lock round, a single action as
+// a batch of one; a batch receives a contiguous block of sequence
+// numbers, in body order, starting at the returned seq.
 func (b *localBackend) appendActions(acts []logs.Action, batch bool) (any, error) {
-	if !batch {
-		seq, err := b.store.Append(acts[0])
-		return AppendResponse{Seq: seq}, err
-	}
 	base, err := b.store.AppendBatch(acts)
+	if !batch {
+		return AppendResponse{Seq: base}, err
+	}
 	return BatchAppendResponse{Seq: base, Count: len(acts)}, err
 }
 

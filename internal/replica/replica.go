@@ -84,6 +84,14 @@ func (e *divergedError) Error() string {
 
 func (e *divergedError) Unwrap() error { return ErrDiverged }
 
+// stallPolls is how many consecutive lag polls may observe zero local
+// progress while the leader is ahead before the open follow stream is
+// presumed wedged and forcibly broken to force a re-follow. A stream
+// wedges when its most recent chunk is lost in transit with the
+// connection still up: the in-stream gap detector only fires on the
+// *next* chunk, which a quiet leader may never send.
+const stallPolls = 4
+
 // Options tunes a Replicator.
 type Options struct {
 	// PollInterval is how often the leader's high-water is probed for
@@ -97,14 +105,6 @@ type Options struct {
 	// the Replicator probes the leader for the missing range and, if
 	// the leader's log genuinely skips it, accepts the hole (default 3).
 	GapProbeRetries int
-	// StallPolls is how many consecutive lag polls may observe zero
-	// local progress while the leader is ahead before the open follow
-	// stream is presumed wedged and forcibly broken to force a
-	// re-follow (default 4). A stream wedges when its most recent chunk
-	// is lost in transit with the connection still up: the in-stream
-	// gap detector only fires on the *next* chunk, which a quiet leader
-	// may never send.
-	StallPolls int
 	// Logf, when set, receives replication lifecycle events
 	// (bootstrap, re-follow, gaps, divergence).
 	Logf func(format string, args ...any)
@@ -129,9 +129,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.GapProbeRetries <= 0 {
 		o.GapProbeRetries = 3
-	}
-	if o.StallPolls <= 0 {
-		o.StallPolls = 4
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -600,14 +597,14 @@ func (r *Replicator) poll() {
 		applied := r.st.NextSeq()
 		if applied < r.leaderSeq.Load() && applied == lastApplied {
 			stalls++
-			if stalls >= r.opts.StallPolls {
+			if stalls >= stallPolls {
 				stalls = 0
 				r.mu.Lock()
 				qs := r.qs
 				r.mu.Unlock()
 				if qs != nil {
 					r.stallBreaks.Add(1)
-					r.opts.Logf("replica: no progress for %d polls at seq %d (leader %d); breaking follow stream", r.opts.StallPolls, applied, r.leaderSeq.Load())
+					r.opts.Logf("replica: no progress for %d polls at seq %d (leader %d); breaking follow stream", stallPolls, applied, r.leaderSeq.Load())
 					qs.Close()
 				}
 			}

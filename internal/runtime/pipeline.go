@@ -18,17 +18,16 @@ import (
 //     single flusher goroutine drains the queue in batches and hands
 //     each batch to the sink outside the lock. One writer draining a
 //     position-ordered queue cannot reorder, so sink order ≡ log order.
-//   - Backpressure. The pending queue is bounded (SetSinkBuffered).
+//   - Backpressure. The pending queue is bounded (DefaultSinkQueue).
 //     Send/RecvSum block — before logging anything, so operations stay
 //     atomic in the log — while the queue is full. The bound is soft by
 //     one operation's worth of actions: an operation that passed the
 //     gate logs all its actions (one per payload, plus the receives of
 //     any same-call delivery) without re-checking.
 //   - Batching. The flusher takes everything pending in one swap, so a
-//     sink implementing BatchSink (e.g. store.Store) pays one lock/fsync
-//     round per drain, not per action. Under load, batches grow to
-//     whatever accumulated during the previous sink write — the classic
-//     group-commit shape.
+//     sink (e.g. store.Store) pays one lock/fsync round per drain, not
+//     per action. Under load, batches grow to whatever accumulated
+//     during the previous sink write — the classic group-commit shape.
 //   - Error latching. The first sink failure detaches the sink and is
 //     latched in sinkErr: the sink then holds a consistent *prefix* of
 //     the log (everything up to the failed batch's failure point, and
@@ -46,19 +45,9 @@ import (
 // condition variable, broadcast on every state transition) carries the
 // producer↔flusher↔drainer handoffs.
 
-// BatchSink is an optional Sink extension: the pipeline hands it a whole
-// drained batch at once, letting the implementation amortise per-append
-// overhead (one stripe-lock round and one fsync per batch in
-// store.Store). AppendActions must apply a prefix of the batch on
-// failure — actions after the failure point must not be written — so the
-// detached sink still holds a consistent prefix of the log.
-type BatchSink interface {
-	AppendActions(batch []logs.Action) error
-}
-
-// DefaultSinkQueue is the pending-queue bound used by SetSink. At the
-// default bound a stalled sink back-pressures the network after ~4096
-// unflushed actions; SetSinkBuffered tunes it.
+// DefaultSinkQueue is the pending-queue bound used by SetSink: a
+// stalled sink back-pressures the network after ~4096 unflushed
+// actions.
 const DefaultSinkQueue = 4096
 
 // SetSink installs an action sink mirroring the global log through the
@@ -76,15 +65,8 @@ const DefaultSinkQueue = 4096
 // register principals the sink can store.
 func (n *Net) SetSink(s Sink) { n.setSink(s, DefaultSinkQueue) }
 
-// SetSinkBuffered is SetSink with an explicit pending-queue bound
-// (minimum 1): the network blocks once queue actions await the sink.
-func (n *Net) SetSinkBuffered(s Sink, queue int) {
-	if queue < 1 {
-		queue = 1
-	}
-	n.setSink(s, queue)
-}
-
+// setSink is SetSink with an explicit pending-queue bound (at least 1):
+// the network blocks once queue actions await the sink.
 func (n *Net) setSink(s Sink, queue int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -234,7 +216,7 @@ func (n *Net) flusher(done chan struct{}) {
 		n.mu.Unlock()
 		var err error
 		if sink != nil {
-			err = flushTo(sink, batch)
+			err = sink.AppendActions(batch)
 		}
 		n.mu.Lock()
 		n.inflight = 0
@@ -257,19 +239,4 @@ func (n *Net) flusher(done chan struct{}) {
 		}
 		n.sinkCond.Broadcast() // space freed / drain progressed / error latched
 	}
-}
-
-// flushTo writes one drained batch, preferring the batch interface. The
-// per-action fallback stops at the first failure, keeping the
-// prefix-on-error guarantee BatchSink implementations promise.
-func flushTo(s Sink, batch []logs.Action) error {
-	if bs, ok := s.(BatchSink); ok {
-		return bs.AppendActions(batch)
-	}
-	for _, a := range batch {
-		if err := s.AppendAction(a); err != nil {
-			return err
-		}
-	}
-	return nil
 }

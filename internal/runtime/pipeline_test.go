@@ -28,10 +28,6 @@ type batchMemSink struct {
 	failErr error
 }
 
-func (m *batchMemSink) AppendAction(a logs.Action) error {
-	return m.AppendActions([]logs.Action{a})
-}
-
 func (m *batchMemSink) AppendActions(batch []logs.Action) error {
 	if m.gate != nil {
 		<-m.gate
@@ -77,7 +73,7 @@ func TestPipelineOrderUnderConcurrency(t *testing.T) {
 	n := NewNet()
 	defer n.Close()
 	sink := &batchMemSink{}
-	n.SetSinkBuffered(sink, 64)
+	n.setSink(sink, 64)
 
 	const senders, perSender = 8, 50
 	recvDones := make([]chan struct{}, senders)
@@ -156,7 +152,7 @@ func TestPipelineBackpressure(t *testing.T) {
 	defer n.Close()
 	gate := make(chan struct{})
 	sink := &batchMemSink{gate: gate}
-	n.SetSinkBuffered(sink, 2)
+	n.setSink(sink, 2)
 
 	const total = 30
 	sendDone := make(chan struct{})
@@ -218,7 +214,7 @@ func TestPipelineFlushConcurrent(t *testing.T) {
 	n := NewNet()
 	defer n.Close()
 	sink := &batchMemSink{}
-	n.SetSinkBuffered(sink, 16)
+	n.setSink(sink, 16)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -266,7 +262,7 @@ func TestPipelineFlushConcurrent(t *testing.T) {
 func TestPipelineCloseDrains(t *testing.T) {
 	n := NewNet()
 	sink := &batchMemSink{}
-	n.SetSinkBuffered(sink, 1)
+	n.setSink(sink, 1)
 	nd := n.Register("p")
 	const total = 25
 	for i := 0; i < total; i++ {
@@ -300,7 +296,7 @@ func TestPipelineSinkFailureLatch(t *testing.T) {
 	defer n.Close()
 	failErr := errors.New("disk full")
 	sink := &batchMemSink{failAt: 40, failErr: failErr}
-	n.SetSinkBuffered(sink, 8)
+	n.setSink(sink, 8)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -380,7 +376,7 @@ func TestPipelineRecvTimeoutUnderBackpressure(t *testing.T) {
 	defer n.Close()
 	gate := make(chan struct{})
 	sink := &batchMemSink{gate: gate}
-	n.SetSinkBuffered(sink, 1)
+	n.setSink(sink, 1)
 	nd := n.Register("p")
 	// Saturate the pipeline from a helper goroutine (its sends block on
 	// the gated sink; they complete when the gate closes at cleanup):
@@ -430,7 +426,7 @@ func TestPipelineFlushUnderSustainedTraffic(t *testing.T) {
 	n := NewNet()
 	defer n.Close()
 	sink := &batchMemSink{}
-	n.SetSinkBuffered(sink, 256)
+	n.setSink(sink, 256)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {

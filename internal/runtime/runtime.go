@@ -122,21 +122,28 @@ type Net struct {
 }
 
 // Sink receives every action appended to the global monitor log, in log
-// order. A durable implementation (such as internal/store, in process,
-// or internal/provclient mirroring to a remote provd over the binary
-// ingest protocol) makes the monitored run replayable after a restart. The pipeline
-// calls the sink from a dedicated goroutine outside the middleware lock
-// (see pipeline.go for the ordering/backpressure contract).
+// order, a drained batch at a time. A durable implementation (such as
+// internal/store, in process, or internal/provclient mirroring to a
+// remote provd over the binary ingest protocol) makes the monitored run
+// replayable after a restart, and amortises per-append overhead over the
+// batch (one stripe-lock round and one fsync per batch in store.Store).
+// The pipeline calls the sink from a dedicated goroutine outside the
+// middleware lock (see pipeline.go for the ordering/backpressure
+// contract).
+//
+// AppendActions must apply a prefix of the batch on failure — actions
+// after the failure point must not be written — so the detached sink
+// still holds a consistent prefix of the log.
+//
 // Mirror into a store opened without Options.Fsync (batch durability via
 // Sync) unless per-batch durability is worth the fsync latency. An
 // action the sink cannot represent detaches the mirror like any other
 // failure (store.Store documents its constraints as ErrInvalidAction:
 // principals must be nonempty, at most store.MaxPrincipalLen bytes, and
 // not the reserved redaction marker), so register principals the sink
-// can store. Sinks that also implement BatchSink receive whole drained
-// batches.
+// can store.
 type Sink interface {
-	AppendAction(a logs.Action) error
+	AppendActions(batch []logs.Action) error
 }
 
 // logLocked appends an action to the global monitor log and hands it to

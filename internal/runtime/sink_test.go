@@ -16,10 +16,10 @@ type memSink struct {
 	acts []logs.Action
 }
 
-func (m *memSink) AppendAction(a logs.Action) error {
+func (m *memSink) AppendActions(batch []logs.Action) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.acts = append(m.acts, a)
+	m.acts = append(m.acts, batch...)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/logs"
 	"repro/internal/wire"
@@ -10,12 +11,13 @@ import (
 // AppendBatch durably appends a batch of actions — in slice order, for
 // possibly many principals — under one lock round, and returns the
 // first assigned sequence number (action i gets base+i; the block is
-// contiguous). This is the sink-flush fast path: the runtime pipeline
-// drains whatever accumulated during the previous write and hands it
-// here, paying one acquisition of each touched stripe, one write(2) per
-// touched segment (see writeBatchLocked) and (with Options.Fsync) one
-// durability barrier — the touched segments synced together, see
-// commitBarrier — instead of one of each per action.
+// contiguous). It is the one way a record enters the store by
+// appending (Append is a batch of one): an ingest commit round or a
+// runtime pipeline drain hands its whole batch here, paying one
+// acquisition of each touched stripe, one write(2) per touched segment
+// (see writeBatchLocked) and (with Options.Fsync) one durability
+// barrier — the touched segments synced together, see commitBarrier —
+// instead of one of each per action.
 //
 // Ordering. Every stripe the batch touches is locked for the whole
 // batch, locks taken in index order (the same discipline as the global
@@ -27,7 +29,7 @@ import (
 // Failure. Validation runs before anything is written: an invalid
 // action rejects the whole batch untouched. A write failure appends
 // nothing either: every segment the batch wrote is truncated back, and
-// the empty prefix meets runtime.BatchSink's prefix contract. The
+// the empty prefix meets runtime.Sink's prefix contract. The
 // sequence block is burnt all the same. (With Options.Fsync, a failed
 // final sync leaves the batch written and may leave some of it durable;
 // a retry after such a failure can duplicate records, which recovery
@@ -71,14 +73,19 @@ func (s *Store) AppendBatch(acts []logs.Action) (uint64, error) {
 	return base, nil
 }
 
+// maxStripes bounds Options.Stripes so a batch's stripe set fits one
+// uint64 mask.
+const maxStripes = 64
+
 // lockBatch resolves the shard of every principal a batch of n records
 // names (principal(i) is record i's) into shards and locks their
-// stripes in index order, returning the held stripe set for
-// unlockStripes. Shards are resolved before the first stripe is taken:
-// shardFor takes the shards-map lock and must not run under any stripe.
-// A store closed meanwhile is reported as ErrClosed with nothing held.
-func (s *Store) lockBatch(shards map[string]*shard, n int, principal func(int) string) ([]bool, error) {
-	held := make([]bool, len(s.stripes))
+// stripes in index order, returning the held stripe set — bit i for
+// stripe i — for unlockStripes. Shards are resolved before the first
+// stripe is taken: shardFor takes the shards-map lock and must not run
+// under any stripe. A store closed meanwhile is reported as ErrClosed
+// with nothing held.
+func (s *Store) lockBatch(shards map[string]*shard, n int, principal func(int) string) (uint64, error) {
+	var held uint64
 	for i := 0; i < n; i++ {
 		p := principal(i)
 		if _, ok := shards[p]; ok {
@@ -86,28 +93,24 @@ func (s *Store) lockBatch(shards map[string]*shard, n int, principal func(int) s
 		}
 		sh, err := s.shardFor(p)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		shards[p] = sh
-		held[s.stripeIdx(p)] = true
+		held |= 1 << s.stripeIdx(p)
 	}
-	for i, h := range held {
-		if h {
-			s.stripes[i].Lock()
-		}
+	for m := held; m != 0; m &= m - 1 {
+		s.stripes[bits.TrailingZeros64(m)].Lock()
 	}
 	if s.closed.Load() {
 		s.unlockStripes(held)
-		return nil, ErrClosed
+		return 0, ErrClosed
 	}
 	return held, nil
 }
 
-func (s *Store) unlockStripes(held []bool) {
-	for i, h := range held {
-		if h {
-			s.stripes[i].Unlock()
-		}
+func (s *Store) unlockStripes(held uint64) {
+	for m := held; m != 0; m &= m - 1 {
+		s.stripes[bits.TrailingZeros64(m)].Unlock()
 	}
 }
 
@@ -217,7 +220,7 @@ func (s *Store) commitBarrier(shards map[string]*shard) error {
 	return fanOut(len(segs), func(i int) error { return segs[i].sync() })
 }
 
-// AppendActions adapts AppendBatch to the runtime.BatchSink interface,
+// AppendActions adapts AppendBatch to the runtime.Sink interface,
 // letting a runtime.Net's async pipeline flush whole drained batches
 // into the store in one lock round.
 func (s *Store) AppendActions(batch []logs.Action) error {

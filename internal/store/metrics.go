@@ -5,6 +5,9 @@ import "sync/atomic"
 // Metrics holds the store's operational counters. All fields are safe
 // for concurrent use; read them through Stats.
 type Metrics struct {
+	// Appends counts records appended and BatchAppends the successful
+	// append rounds: each Append (a batch of one), AppendBatch or
+	// ApplyReplicated call.
 	Appends            atomic.Uint64
 	BatchAppends       atomic.Uint64
 	AppendedBytes      atomic.Uint64
@@ -27,9 +30,9 @@ type Metrics struct {
 	SyncBarriers atomic.Uint64
 	SegmentSyncs atomic.Uint64
 	// SegmentWrites counts the segment writes of successful appends:
-	// one per Append, one per touched segment of an AppendBatch or
-	// ApplyReplicated. Appends ÷ SegmentWrites is how many records one
-	// write(2) carries.
+	// one per touched segment of an AppendBatch or ApplyReplicated (an
+	// Append is a batch of one). Appends ÷ SegmentWrites is how many
+	// records one write(2) carries.
 	SegmentWrites atomic.Uint64
 }
 

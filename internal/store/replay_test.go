@@ -71,7 +71,7 @@ func TestRuntimeMirrorRestartAuditParity(t *testing.T) {
 	<-done
 	// Drain the async pipeline: Flush returning nil means the store
 	// holds the complete log (batches arrive via AppendActions, the
-	// store's BatchSink fast path).
+	// store's runtime.Sink).
 	if err := net.Flush(); err != nil {
 		t.Fatalf("sink error: %v", err)
 	}

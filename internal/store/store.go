@@ -103,7 +103,8 @@ func validateAction(a logs.Action) error {
 
 // Options configures a store.
 type Options struct {
-	// Stripes is the number of append lock stripes (default 16).
+	// Stripes is the number of append lock stripes (default 16, at
+	// most maxStripes).
 	Stripes int
 	// SegmentBytes is the active-segment rotation threshold (default 1
 	// MiB). It is checked before a shard's run of records in a batch,
@@ -307,6 +308,9 @@ const recoverInternEntries = 1 << 18
 // shards found there.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
+	if opts.Stripes > maxStripes {
+		return nil, fmt.Errorf("store: %d stripes, at most %d", opts.Stripes, maxStripes)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -509,58 +513,10 @@ func (s *Store) shardFor(principal string) (*shard, error) {
 }
 
 // Append durably appends one action to the store, assigning and returning
-// its global sequence number. Appends for different principals contend
-// only on their stripe locks.
+// its global sequence number: a batch of one, with AppendBatch's locking,
+// durability and failure semantics.
 func (s *Store) Append(a logs.Action) (uint64, error) {
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	if err := validateAction(a); err != nil {
-		return 0, err
-	}
-	sh, err := s.shardFor(a.Principal)
-	if err != nil {
-		return 0, err
-	}
-	st := s.stripeFor(a.Principal)
-	st.Lock()
-	defer st.Unlock()
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	seq := s.nextSeq.Add(1) - 1
-	r := wire.Record{Seq: seq, Act: a}
-	if sh.active == nil || sh.active.size >= s.opts.SegmentBytes {
-		if err := s.rotateLocked(sh, seq); err != nil {
-			return 0, err
-		}
-	}
-	g := sh.active
-	g.buf = wire.AppendRecordFrameScratch(g.buf[:0], r, g.scratch)
-	if err := g.write(g.buf); err != nil {
-		return 0, err
-	}
-	if s.opts.Fsync {
-		s.metrics.SyncBarriers.Add(1)
-		s.metrics.SegmentSyncs.Add(1)
-		if err := g.sync(); err != nil {
-			return 0, g.rollback(err)
-		}
-	}
-	g.size += int64(len(g.buf))
-	sh.addRec(r)
-	s.metrics.Appends.Add(1)
-	s.metrics.AppendedBytes.Add(uint64(len(g.buf)))
-	s.metrics.SegmentWrites.Add(1)
-	s.notifyAppend()
-	return seq, nil
-}
-
-// AppendAction adapts Append to the runtime.Sink interface, letting a
-// runtime.Net mirror its global monitor log straight into the store.
-func (s *Store) AppendAction(a logs.Action) error {
-	_, err := s.Append(a)
-	return err
+	return s.AppendBatch([]logs.Action{a})
 }
 
 // rotateLocked seals the active segment (if any) and opens a fresh one
